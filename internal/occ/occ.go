@@ -131,17 +131,24 @@ func NewRuntime(mem *simmem.Memory) *Runtime {
 
 // NewTx returns a fresh software-transaction context for one thread.
 func (rt *Runtime) NewTx(id int) *Tx {
-	return &Tx{
-		rt:       rt,
-		id:       id,
-		readIdx:  make(map[simmem.Addr]int),
-		writeBuf: make(map[simmem.Addr]simmem.Word),
-	}
+	return &Tx{rt: rt, id: id, gen: 1, index: make([]indexSlot, 64)}
 }
 
-type readEntry struct {
+// logEntry is one read-log or write-buffer entry.
+type logEntry struct {
 	addr simmem.Addr
 	val  simmem.Word
+}
+
+// indexSlot is one slot of a Tx's address index. It is live while its gen
+// equals the Tx's, so ending a transaction empties the index by bumping the
+// generation, whatever size it has grown to. A live slot says addr is
+// buffered at writes[wi-1] or, with wi 0, that it is in the read log (where
+// is never asked, and a buffered address is never read from memory again).
+type indexSlot struct {
+	addr simmem.Addr
+	gen  uint32
+	wi   int32
 }
 
 // Tx is one thread's software-transaction context. It implements the same
@@ -167,10 +174,14 @@ type Tx struct {
 	doomCause  simmem.AbortCause
 	gilBlocked bool
 
-	reads    []readEntry
-	readIdx  map[simmem.Addr]int // addr -> index into reads
-	writeOrd []simmem.Addr       // first-write order, for deterministic publication
-	writeBuf map[simmem.Addr]simmem.Word
+	reads  []logEntry
+	writes []logEntry // first-write order, for deterministic publication
+
+	// index finds an address in the two logs: open addressing, linear
+	// probing, a power-of-two size kept at most half full.
+	index []indexSlot
+	gen   uint32
+	live  int // slots of the current generation
 
 	// validatedAt is the memory version the read log was last validated
 	// against (or the begin-time version while the log is empty).
@@ -202,7 +213,7 @@ func (t *Tx) GILBlocked() bool { return t.gilBlocked }
 func (t *Tx) ReadLogLen() int { return len(t.reads) }
 
 // WriteLogLen returns the current write-buffer size in entries.
-func (t *Tx) WriteLogLen() int { return len(t.writeOrd) }
+func (t *Tx) WriteLogLen() int { return len(t.writes) }
 
 // Begin starts a software transaction and returns its fixed startup cost.
 func (t *Tx) Begin() int64 {
@@ -275,6 +286,34 @@ func (t *Tx) validate() bool {
 	return true
 }
 
+// slot returns addr's index slot, or the free slot where addr belongs when it
+// is in neither log (s.gen != t.gen; claim makes it addr's).
+func (t *Tx) slot(addr simmem.Addr) *indexSlot {
+	mask := uint64(len(t.index) - 1)
+	for i := (uint64(addr>>3) * 0x9E3779B97F4A7C15 >> 32) & mask; ; i = (i + 1) & mask {
+		if s := &t.index[i]; s.gen != t.gen || s.addr == addr {
+			return s
+		}
+	}
+}
+
+// claim turns the free slot s into addr's, doubling the index first when it
+// would pass half full.
+func (t *Tx) claim(s *indexSlot, addr simmem.Addr) *indexSlot {
+	if t.live++; 2*t.live > len(t.index) {
+		old := t.index
+		t.index = make([]indexSlot, 2*len(old))
+		for i := range old {
+			if old[i].gen == t.gen {
+				*t.slot(old[i].addr) = old[i]
+			}
+		}
+		s = t.slot(addr)
+	}
+	*s = indexSlot{addr: addr, gen: t.gen}
+	return s
+}
+
 // Load performs a software-transactional read. Buffered writes are read
 // back directly (read-own-writes); other reads revalidate the log if the
 // global version moved, refuse hazard-window lines (a GIL holder's
@@ -283,8 +322,9 @@ func (t *Tx) Load(addr simmem.Addr) simmem.Word {
 	if !t.active {
 		panic("occ: Load without active transaction")
 	}
-	if w, ok := t.writeBuf[addr]; ok {
-		return w
+	s := t.slot(addr)
+	if s.gen == t.gen && s.wi > 0 {
+		return t.writes[s.wi-1].val
 	}
 	m := t.rt.Mem
 	if t.doomed {
@@ -304,9 +344,9 @@ func (t *Tx) Load(addr simmem.Addr) simmem.Word {
 	// A direct load: dooms a dirty HTM writer of the line (strong
 	// isolation, requester wins), exactly like a plain memory access.
 	w := m.Load(addr)
-	if _, ok := t.readIdx[addr]; !ok {
-		t.readIdx[addr] = len(t.reads)
-		t.reads = append(t.reads, readEntry{addr: addr, val: w})
+	if s.gen != t.gen {
+		t.claim(s, addr)
+		t.reads = append(t.reads, logEntry{addr: addr, val: w})
 		t.overhead += ReadLogCycles
 	}
 	return w
@@ -318,11 +358,16 @@ func (t *Tx) Store(addr simmem.Addr, w simmem.Word) {
 	if !t.active {
 		panic("occ: Store without active transaction")
 	}
-	if _, ok := t.writeBuf[addr]; !ok {
-		t.writeOrd = append(t.writeOrd, addr)
+	s := t.slot(addr)
+	if s.gen != t.gen {
+		s = t.claim(s, addr)
+	}
+	if s.wi == 0 {
+		t.writes = append(t.writes, logEntry{addr: addr})
+		s.wi = int32(len(t.writes))
 		t.overhead += WriteLogCycles
 	}
-	t.writeBuf[addr] = w
+	t.writes[s.wi-1].val = w
 }
 
 // BlockCommit records that the commit point was reached while the GIL was
@@ -355,14 +400,14 @@ func (t *Tx) Commit() (int64, bool) {
 	if v := t.rt.Mem.Version(); v != t.validatedAt && !t.revalidate(v) {
 		return cycles, false
 	}
-	if len(t.writeOrd) > 0 {
+	if len(t.writes) > 0 {
 		m := t.rt.Mem
 		// Bump the sequence word first: subscribed hardware transactions
 		// abort before any data write becomes visible to them.
 		seq := m.Peek(t.rt.SeqAddr)
 		m.Store(t.rt.SeqAddr, simmem.Word{Bits: seq.Bits + 1})
-		for _, a := range t.writeOrd {
-			m.Store(a, t.writeBuf[a])
+		for _, e := range t.writes {
+			m.Store(e.addr, e.val)
 			cycles += PublishCycles
 		}
 	}
@@ -391,9 +436,12 @@ func (t *Tx) Rollback() (simmem.AbortCause, int64) {
 // cleanup resets the context to idle.
 func (t *Tx) cleanup() {
 	t.reads = t.reads[:0]
-	clear(t.readIdx)
-	t.writeOrd = t.writeOrd[:0]
-	clear(t.writeBuf)
+	t.writes = t.writes[:0]
+	if t.gen++; t.gen == 0 { // wrapped: slots of 2^32 transactions ago would look live
+		clear(t.index)
+		t.gen = 1
+	}
+	t.live = 0
 	t.active = false
 	t.doomed = false
 	t.doomCause = simmem.CauseNone

@@ -10,15 +10,11 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"os"
 	"sort"
 
 	"htmgil/internal/choice"
 	"htmgil/internal/trace"
 )
-
-// DebugSched enables loop tracing (tests only).
-var DebugSched = false
 
 // Status is the scheduling state a step leaves its thread in.
 type Status uint8
@@ -274,6 +270,7 @@ type Engine struct {
 	ctxs    []*HWContext
 	run     runList // all Running threads, unordered
 	ctxMode bool    // see the dispatch-strategy comment above
+	modeLen int     // len(run.th) when setDispatchMode last ran
 	ctxq    []*HWContext
 	timed   eventPQ
 	seq     int64
@@ -529,22 +526,20 @@ func (e *Engine) Run() error {
 	if e.Chooser != nil {
 		return e.runExplore()
 	}
-	dbgCount := 0
 	for !e.stopped {
-		if DebugSched && dbgCount < 30 {
-			dbgCount++
-			peekAt := int64(-1)
-			if len(e.timed) > 0 {
-				peekAt = e.timed.peek().at
-			}
-			fmt.Fprintf(os.Stderr, "sched: loop live=%d running=%d timed=%d peek=%d\n", e.live, len(e.run.th), len(e.timed), peekAt)
-		}
 		if e.live == 0 {
 			// Every thread finished; pending timed events (timers,
 			// watchdogs) must not advance the clock past the makespan.
 			return nil
 		}
-		e.setDispatchMode()
+		// The mode depends only on the Running list's length, so it is
+		// re-evaluated only after addRunning/removeAt changed that — here and
+		// not inside them, because mid-step the stepping thread is out of its
+		// queue and a rebuild from the flat list would enqueue it twice.
+		if n := len(e.run.th); n != e.modeLen {
+			e.modeLen = n
+			e.setDispatchMode()
+		}
 		var pick *Thread
 		var pickAt int64
 		if e.ctxMode {

@@ -35,7 +35,9 @@ func TestPagedTableSpansPages(t *testing.T) {
 	tx := m.Tx(0)
 	tx.Begin(1024, 1024)
 	for _, a := range addrs {
-		if m.lineOf(a) != tx.lineOf(a) {
+		dl, di := m.locate(&m.last, a)
+		tl, ti := m.locate(&tx.last, a)
+		if dl != tl || di != ti {
 			t.Fatalf("line identity differs for %#x", uint64(a))
 		}
 	}

@@ -14,13 +14,32 @@
 // performs no locking of its own: determinism comes for free and every
 // experiment is exactly reproducible.
 //
-// Every interpreter memory access funnels through this package, so the line
-// lookup is the hottest path of the whole simulator. Lines live in a paged
-// table (fixed-size pages of line structs, addressed by line number) rather
-// than a hash map, and both the Memory and each Tx keep a last-line cache
-// that short-circuits the common run of consecutive accesses to one line.
-// Line pointers are stable for the life of the Memory — pages are never
-// moved or freed — which is what makes the caches safe.
+// Every interpreter memory access funnels through this package, so what a
+// transaction needs is kept with the line, as hardware keeps it, and no
+// address-keyed hash map sits on the access path:
+//
+//   - Lines live in a paged table (512 line structs per page, by line number;
+//     the page directory grows by doubling). One lookup, locate, resolves an
+//     address to its line and word index, behind a last-line cache in the
+//     Memory and in each Tx. Line pointers are stable for the life of the
+//     Memory, so the caches and the read and write sets hold them directly.
+//   - A line's words are carved from a per-Memory slab when the line is first
+//     accessed, never before: allocating a whole page's words at once was
+//     measured, and the datastore workloads, which touch a few lines per page,
+//     more than doubled their allocation and peak RSS. Peek and HazardHit
+//     materialise nothing.
+//   - A transaction's speculative stores sit in its shadow buffer, one
+//     line-sized slot per write-set entry; line.wslot names the entry while
+//     line.writer is that transaction, and the entry's dirty mask says which
+//     words of the slot are valid. Begin, Commit and Rollback cost the size
+//     of the sets, never the capacity of a table.
+//   - The stolen-line rule: a transaction whose dirty line another writer
+//     takes is doomed but runs on to its next boundary, and must still read
+//     back what it stored. Its write-set entry outlives the theft, so a doomed
+//     transaction, and only a doomed one, falls back to searching its own
+//     entries, newest first (Tx.lostStore).
+//   - The hazard window is an epoch stamp on the line, not a set of lines
+//     (Memory.hazardEpoch).
 package simmem
 
 import (
@@ -105,11 +124,31 @@ func (c AbortCause) Transient() bool {
 
 // line is one simulated cache line: its backing words plus the transactional
 // metadata real hardware keeps per line (tx-read bits, tx-dirty owner).
+//
+// The words are chunk[off:off+wordsPerLine] of a slab chunk; a pointer and an
+// offset in place of a slice keep the struct at 40 bytes, which is what the
+// page table of a sparsely touched address space is made of.
 type line struct {
-	words   []Word
-	readers uint64 // bitmap of contexts with this line in their read set
-	writer  int32  // context with this line in its write set, or -1
+	chunk   *[slabWords]Word // nil until the line is first accessed
+	readers uint64           // bitmap of contexts with this line in their read set
+	hazard  uint64           // Memory.hazardEpoch of the window that last stored here directly
+	off     uint32
+	writer  int32 // context with this line in its write set, or -1
+	wslot   int32 // the writer's Tx.wlines entry for this line; valid while writer >= 0
 }
+
+// word returns the address of word idx of a materialised line.
+func (l *line) word(idx int) *Word { return &l.chunk[l.off+uint32(idx)] }
+
+// lineCache remembers the line an access path resolved last.
+type lineCache struct {
+	la Addr
+	l  *line
+}
+
+// slabWords sizes the chunks line words are carved from (48 KB: 64 lines of
+// 256 bytes, 256 lines of 64).
+const slabWords = 2048
 
 // pageLineShift sizes the pages of the line table: 2^9 = 512 lines per page
 // (32 KB at 64-byte lines, 128 KB at 256-byte lines).
@@ -150,12 +189,12 @@ type Memory struct {
 	lineShift    uint
 	wordsPerLine int
 
-	pages []*page
-	txs   []*Tx
+	pages  []*page
+	slab   *[slabWords]Word // the chunk lines are being carved from
+	carved uint32           // words of it already handed out
+	txs    []*Tx
 
-	// last-line cache for the direct (non-transactional) access path
-	lastLA   Addr
-	lastLine *line
+	last lineCache // for the direct (non-transactional) access path
 
 	// address-space reservations, sorted by base (brk only grows)
 	brk     Addr
@@ -168,16 +207,17 @@ type Memory struct {
 	// revalidate before consuming any further value.
 	version uint64
 
-	// hazard window for lazy-subscription elision: while non-nil, every
-	// non-transactional Store records its line here, and a transactional
-	// access to a recorded line dooms the accessing transaction (it would
-	// observe the lock holder's intermediate state — Dice et al.'s unsafe
-	// read). nil whenever no window is open, so the common policies pay
-	// only a nil check per access. hazardDepth counts overlapping window
-	// holders (e.g. several shard GILs held at once): the union of all
-	// holders' lines is kept until the last window closes, which is
-	// conservative but sound.
-	hazard      map[Addr]struct{}
+	// hazard window for lazy-subscription elision: while one is open, every
+	// non-transactional Store stamps its line with hazardEpoch, and a
+	// transactional access to a line carrying the current stamp dooms the
+	// accessing transaction (it would observe the lock holder's intermediate
+	// state — Dice et al.'s unsafe read). Closing the last window bumps the
+	// epoch, which retires every stamp at once; with no window open no line
+	// carries the current epoch, so an access pays one compare. hazardDepth
+	// counts overlapping window holders (e.g. several shard GILs held at
+	// once): the union of all holders' lines is kept until the last window
+	// closes, which is conservative but sound.
+	hazardEpoch uint64
 	hazardDepth int
 
 	// statistics
@@ -214,6 +254,9 @@ func NewMemory(cfg Config, nctx int) *Memory {
 	if nctx <= 0 || nctx > MaxContexts {
 		panic(fmt.Sprintf("simmem: invalid context count %d", nctx))
 	}
+	if cfg.LineBytes/WordBytes > 64 {
+		panic(fmt.Sprintf("simmem: line size %d is more than 64 words, the width of a write-set entry's dirty mask", cfg.LineBytes))
+	}
 	shift := uint(0)
 	for 1<<shift != cfg.LineBytes {
 		shift++
@@ -223,12 +266,13 @@ func NewMemory(cfg Config, nctx int) *Memory {
 		lineShift:            shift,
 		wordsPerLine:         cfg.LineBytes / WordBytes,
 		brk:                  Addr(cfg.LineBytes), // keep address 0 unused
+		hazardEpoch:          1,                   // untouched lines carry stamp 0
 		conflictCounts:       make(map[string]uint64),
 		conflictWriterCounts: make(map[string]uint64),
 	}
 	m.txs = make([]*Tx, nctx)
 	for i := range m.txs {
-		m.txs[i] = &Tx{id: int32(i), mem: m, writeBuf: make(map[Addr]Word)}
+		m.txs[i] = &Tx{id: int32(i), mem: m}
 	}
 	return m
 }
@@ -279,26 +323,20 @@ func (m *Memory) RegionLabel(addr Addr) string {
 // each hold when lazy-subscription elision is active (gil.GIL.HazardTrack).
 // Windows nest (sharded-GIL mode can hold several lock windows at once):
 // the union of all holders' lines persists until the outermost close.
-func (m *Memory) StartHazard() {
-	m.hazardDepth++
-	if m.hazard == nil {
-		m.hazard = make(map[Addr]struct{})
-	}
-}
+func (m *Memory) StartHazard() { m.hazardDepth++ }
 
 // EndHazard closes one hazard window; the recorded lines are discarded only
 // when the last overlapping window closes.
 func (m *Memory) EndHazard() {
 	if m.hazardDepth > 0 {
-		m.hazardDepth--
-	}
-	if m.hazardDepth == 0 {
-		m.hazard = nil
+		if m.hazardDepth--; m.hazardDepth == 0 {
+			m.hazardEpoch++
+		}
 	}
 }
 
 // HazardActive reports whether a hazard window is open.
-func (m *Memory) HazardActive() bool { return m.hazard != nil }
+func (m *Memory) HazardActive() bool { return m.hazardDepth > 0 }
 
 // ConflictCounts returns the number of conflict-induced dooms attributed to
 // each region label.
@@ -309,22 +347,39 @@ func (m *Memory) ConflictCounts() map[string]uint64 { return m.conflictCounts }
 // dirty (the victim was the line's writer, not just a reader).
 func (m *Memory) ConflictWriterCounts() map[string]uint64 { return m.conflictWriterCounts }
 
-// lineOf returns (creating on demand) the line containing addr.
-func (m *Memory) lineOf(addr Addr) *line {
-	la := addr >> m.lineShift
-	if la == m.lastLA && m.lastLine != nil {
-		return m.lastLine
+// wordIndex returns addr's word index within its line; an unaligned address
+// panics.
+func (m *Memory) wordIndex(addr Addr) int {
+	if addr%WordBytes != 0 {
+		unaligned(addr)
 	}
-	l := m.lineAt(la)
-	m.lastLA, m.lastLine = la, l
-	return l
+	return int(addr>>3) & (m.wordsPerLine - 1)
+}
+
+// unaligned is kept out of line so that wordIndex stays small enough to
+// inline into locate and find; with the message formatted in place it is not,
+// and every access pays a call (a tenth of the direct Load/Store path).
+//
+//go:noinline
+func unaligned(addr Addr) {
+	panic(fmt.Sprintf("simmem: unaligned access at %#x", uint64(addr)))
+}
+
+// locate returns the line containing addr, materialising it on first touch,
+// and addr's word index within it. c is the caller's last-line cache.
+func (m *Memory) locate(c *lineCache, addr Addr) (*line, int) {
+	idx := m.wordIndex(addr)
+	if la := addr >> m.lineShift; la != c.la || c.l == nil {
+		c.la, c.l = la, m.lineAt(la)
+	}
+	return c.l, idx
 }
 
 // lineAt returns (creating on demand) the line with line-number la.
 func (m *Memory) lineAt(la Addr) *line {
 	pi := int(la >> pageLineShift)
 	if pi >= len(m.pages) {
-		grown := make([]*page, pi+1)
+		grown := make([]*page, max(pi+1, 2*len(m.pages)))
 		copy(grown, m.pages)
 		m.pages = grown
 	}
@@ -334,22 +389,32 @@ func (m *Memory) lineAt(la Addr) *line {
 		m.pages[pi] = p
 	}
 	l := &p.lines[la&pageLineMask]
-	if l.words == nil {
-		l.words = make([]Word, m.wordsPerLine)
+	if l.chunk == nil {
+		if m.slab == nil || m.carved == slabWords {
+			m.slab, m.carved = new([slabWords]Word), 0
+		}
+		l.chunk, l.off = m.slab, m.carved
+		m.carved += uint32(m.wordsPerLine)
 	}
 	return l
+}
+
+// find is the lookup that never allocates: the line is nil when nothing has
+// accessed it yet.
+func (m *Memory) find(addr Addr) (*line, int) {
+	idx := m.wordIndex(addr)
+	la := addr >> m.lineShift
+	if pi := la >> pageLineShift; pi < Addr(len(m.pages)) && m.pages[pi] != nil {
+		if l := &m.pages[pi].lines[la&pageLineMask]; l.chunk != nil {
+			return l, idx
+		}
+	}
+	return nil, idx
 }
 
 // LineAddr returns the line-number (address divided by the line size) of a
 // byte address. Two addresses with equal LineAddr share a cache line.
 func (m *Memory) LineAddr(addr Addr) Addr { return addr >> m.lineShift }
-
-func (m *Memory) wordIndex(addr Addr) int {
-	if addr%WordBytes != 0 {
-		panic(fmt.Sprintf("simmem: unaligned access at %#x", uint64(addr)))
-	}
-	return int(addr>>3) & (m.wordsPerLine - 1)
-}
 
 // doom marks the transaction with the given id as conflict-doomed and
 // records attribution for the region of addr. wasWriter records whether the
@@ -414,28 +479,28 @@ func (m *Memory) doomEv(victim int32, cause AbortCause) trace.Event {
 // Load performs a direct, non-transactional read. It dooms any transaction
 // holding the line dirty (a coherence read request hits tx-dirty data).
 func (m *Memory) Load(addr Addr) Word {
-	l := m.lineOf(addr)
+	l, idx := m.locate(&m.last, addr)
 	if w := l.writer; w >= 0 {
 		m.doom(w, addr, true)
 	}
-	return l.words[m.wordIndex(addr)]
+	return *l.word(idx)
 }
 
 // Store performs a direct, non-transactional write. It dooms every
 // transaction that has the line in its read or write set.
 func (m *Memory) Store(addr Addr, w Word) {
-	l := m.lineOf(addr)
+	l, idx := m.locate(&m.last, addr)
 	if wr := l.writer; wr >= 0 {
 		m.doom(wr, addr, true)
 	}
 	if l.readers != 0 {
 		m.doomReaders(l, addr, -1)
 	}
-	if m.hazard != nil {
-		m.hazard[addr>>m.lineShift] = struct{}{}
+	if m.hazardDepth > 0 {
+		l.hazard = m.hazardEpoch
 	}
 	m.version++
-	l.words[m.wordIndex(addr)] = w
+	*l.word(idx) = w
 }
 
 // Version returns the global commit counter: the number of times memory has
@@ -446,26 +511,27 @@ func (m *Memory) Version() uint64 { return m.version }
 // HazardHit reports whether addr's line was written non-transactionally
 // inside the currently open hazard window. The OCC tier uses it to refuse
 // values that may be a lock holder's intermediate state; hardware
-// transactions get the same check via Tx.hazardCheck.
+// transactions get the same check on every Load and Store.
 func (m *Memory) HazardHit(addr Addr) bool {
-	if m.hazard == nil {
-		return false
-	}
-	_, ok := m.hazard[addr>>m.lineShift]
-	return ok
+	l, _ := m.find(addr)
+	return l != nil && l.hazard == m.hazardEpoch
 }
 
-// Peek reads a word without any coherence side effects. It is intended for
-// debuggers, tests and statistics, never for simulated program execution.
+// Peek reads a word without any side effects, coherence or host: a line
+// nothing has accessed reads as zero and stays unmaterialised. It is intended
+// for debuggers, tests, statistics and OCC validation, never for simulated
+// program execution.
 func (m *Memory) Peek(addr Addr) Word {
-	l := m.lineOf(addr)
-	return l.words[m.wordIndex(addr)]
+	if l, idx := m.find(addr); l != nil {
+		return *l.word(idx)
+	}
+	return Word{}
 }
 
 // Poke writes a word without any coherence side effects (test use only).
 func (m *Memory) Poke(addr Addr, w Word) {
-	l := m.lineOf(addr)
-	l.words[m.wordIndex(addr)] = w
+	l, idx := m.locate(&m.last, addr)
+	*l.word(idx) = w
 }
 
 // doomReaders dooms every reader of l except the context `except`
@@ -481,6 +547,13 @@ func (m *Memory) doomReaders(l *line, addr Addr, except int32) {
 	}
 }
 
+// wline is one write-set entry: the line and which words of the entry's
+// shadow slot hold speculative stores.
+type wline struct {
+	l     *line
+	dirty uint64
+}
+
 // Tx is one transactional context: the read/write sets and the speculative
 // write buffer of a single hardware thread's transaction.
 type Tx struct {
@@ -493,14 +566,16 @@ type Tx struct {
 	doomCause     AbortCause
 	doomAddr      Addr
 
-	// last-line cache for the transactional access path (pointers into the
-	// page table are stable, so the cache never needs invalidation)
-	lastLA   Addr
-	lastLine *line
+	last lineCache // for the transactional access path
 
-	readLines  []Addr // line numbers newly added to the read set
-	writeLines []Addr // line numbers newly added to the write set
-	writeBuf   map[Addr]Word
+	readLines []*line // the read set
+	// The write set, in acquisition order, and its speculative stores: entry
+	// i buffers into shadow[i*wordsPerLine:][:wordsPerLine]. A line taken
+	// back after another writer stole it gets a second entry (it counts
+	// against WriteCapacity twice, as it always has); only a doomed
+	// transaction can hold such duplicates. shadow only ever grows.
+	wlines []wline
+	shadow []Word
 
 	// Capacity limits in lines, set by the HTM layer at begin time (and
 	// possibly lowered mid-transaction when an SMT sibling becomes active).
@@ -533,18 +608,7 @@ func (t *Tx) DoomedAsWriter() bool { return t.doomWasWriter }
 func (t *Tx) ReadSetLines() int { return len(t.readLines) }
 
 // WriteSetLines returns the current write-set size in cache lines.
-func (t *Tx) WriteSetLines() int { return len(t.writeLines) }
-
-// lineOf is the transactional-path line lookup with the per-Tx cache.
-func (t *Tx) lineOf(addr Addr) *line {
-	la := addr >> t.mem.lineShift
-	if la == t.lastLA && t.lastLine != nil {
-		return t.lastLine
-	}
-	l := t.mem.lineAt(la)
-	t.lastLA, t.lastLine = la, l
-	return l
-}
+func (t *Tx) WriteSetLines() int { return len(t.wlines) }
 
 // Begin starts a transaction in this context with the given capacity limits
 // (in cache lines). It panics if a transaction is already active: the
@@ -559,9 +623,6 @@ func (t *Tx) Begin(readCap, writeCap int) {
 	t.doomWasWriter = false
 	t.doomCause = CauseNone
 	t.doomAddr = 0
-	t.readLines = t.readLines[:0]
-	t.writeLines = t.writeLines[:0]
-	clear(t.writeBuf)
 	t.ReadCapacity = readCap
 	t.WriteCapacity = writeCap
 }
@@ -577,27 +638,16 @@ func (t *Tx) SelfDoom(cause AbortCause) {
 	t.mem.traceDoom(t.id, cause, 0)
 }
 
-// hazardCheck dooms the transaction when addr's line was written
-// non-transactionally inside the current hazard window: without a begin-time
-// lock subscription the transaction would be reading the lock holder's
-// intermediate state, so the simulated hardware extension kills it with a
-// conflict (attributed to addr's region like any other conflict doom).
-func (t *Tx) hazardCheck(addr Addr) {
-	m := t.mem
-	if m.hazard == nil || t.doomed {
-		return
+// lostStore is the stolen-line rule: a doomed transaction's search of its own
+// write set for the newest entry that buffers word idx of l, for the lines
+// whose wslot no longer (or not only) names the entry.
+func (t *Tx) lostStore(l *line, idx int) (Word, bool) {
+	for i := len(t.wlines) - 1; i >= 0; i-- {
+		if e := &t.wlines[i]; e.l == l && e.dirty>>uint(idx)&1 != 0 {
+			return t.shadow[i*t.mem.wordsPerLine+idx], true
+		}
 	}
-	if _, ok := m.hazard[addr>>m.lineShift]; !ok {
-		return
-	}
-	t.doomed = true
-	t.doomCause = CauseConflict
-	t.doomAddr = addr
-	t.doomWasWriter = false
-	m.doomCount++
-	label := m.RegionLabel(addr)
-	m.conflictCounts[label]++
-	m.traceDoomConflict(t.id, addr, label, false)
+	return Word{}, false
 }
 
 // Load performs a transactional read. The line joins the read set; a
@@ -605,22 +655,28 @@ func (t *Tx) hazardCheck(addr Addr) {
 // ReadCapacity dooms the transaction itself with CauseReadOverflow.
 func (t *Tx) Load(addr Addr) Word {
 	m := t.mem
-	t.hazardCheck(addr)
-	l := t.lineOf(addr)
+	l, idx := m.locate(&t.last, addr)
+	if l.hazard == m.hazardEpoch {
+		// Written non-transactionally inside the open hazard window: without
+		// a begin-time lock subscription the transaction would be reading the
+		// lock holder's intermediate state, so the simulated hardware
+		// extension kills it with a conflict, attributed like any other.
+		m.doom(t.id, addr, false)
+	}
 	if w := l.writer; w >= 0 && w != t.id {
 		if m.Chooser != nil && m.Chooser.Choose(choice.Conflict, 2) == 1 {
 			// Explored alternative: the requester loses the conflict. It is
 			// doomed without touching the line state; the value read is
 			// irrelevant, the transaction rolls back at its next boundary.
 			m.doom(t.id, addr, false)
-			return l.words[m.wordIndex(addr)]
+			return *l.word(idx)
 		}
 		m.doom(w, addr, true)
 	}
 	bit := uint64(1) << uint(t.id)
 	if l.readers&bit == 0 {
 		l.readers |= bit
-		t.readLines = append(t.readLines, addr>>m.lineShift)
+		t.readLines = append(t.readLines, l)
 		if len(t.readLines) > t.ReadCapacity {
 			t.doomed = true
 			t.doomCause = CauseReadOverflow
@@ -628,10 +684,15 @@ func (t *Tx) Load(addr Addr) Word {
 			m.traceDoom(t.id, CauseReadOverflow, addr)
 		}
 	}
-	if w, ok := t.writeBuf[addr]; ok {
-		return w
+	if l.writer == t.id && t.wlines[l.wslot].dirty>>uint(idx)&1 != 0 {
+		return t.shadow[int(l.wslot)*m.wordsPerLine+idx]
 	}
-	return l.words[m.wordIndex(addr)]
+	if t.doomed {
+		if w, ok := t.lostStore(l, idx); ok {
+			return w
+		}
+	}
+	return *l.word(idx)
 }
 
 // Store performs a transactional write into the speculative buffer. The
@@ -640,8 +701,10 @@ func (t *Tx) Load(addr Addr) Word {
 // CauseWriteOverflow.
 func (t *Tx) Store(addr Addr, w Word) {
 	m := t.mem
-	t.hazardCheck(addr)
-	l := t.lineOf(addr)
+	l, idx := m.locate(&t.last, addr)
+	if l.hazard == m.hazardEpoch {
+		m.doom(t.id, addr, false) // see Load
+	}
 	if wr := l.writer; wr != t.id {
 		if m.Chooser != nil && (wr >= 0 || l.readers&^(1<<uint(t.id)) != 0) &&
 			m.Chooser.Choose(choice.Conflict, 2) == 1 {
@@ -656,16 +719,20 @@ func (t *Tx) Store(addr Addr, w Word) {
 		if l.readers&^(1<<uint(t.id)) != 0 {
 			m.doomReaders(l, addr, t.id)
 		}
-		l.writer = t.id
-		t.writeLines = append(t.writeLines, addr>>m.lineShift)
-		if len(t.writeLines) > t.WriteCapacity {
+		l.writer, l.wslot = t.id, int32(len(t.wlines))
+		t.wlines = append(t.wlines, wline{l: l})
+		if n := len(t.wlines) * m.wordsPerLine; n > len(t.shadow) {
+			t.shadow = append(t.shadow, make([]Word, n-len(t.shadow))...)
+		}
+		if len(t.wlines) > t.WriteCapacity {
 			t.doomed = true
 			t.doomCause = CauseWriteOverflow
 			t.doomAddr = addr
 			m.traceDoom(t.id, CauseWriteOverflow, addr)
 		}
 	}
-	t.writeBuf[addr] = w
+	t.wlines[l.wslot].dirty |= 1 << uint(idx)
+	t.shadow[int(l.wslot)*m.wordsPerLine+idx] = w
 }
 
 // Commit attempts to commit the transaction. On success the speculative
@@ -680,12 +747,15 @@ func (t *Tx) Commit() bool {
 		return false
 	}
 	m := t.mem
-	if len(t.writeBuf) > 0 {
+	if len(t.wlines) > 0 {
 		m.version++
 	}
-	for addr, w := range t.writeBuf {
-		l := t.lineOf(addr)
-		l.words[m.wordIndex(addr)] = w
+	for i, e := range t.wlines {
+		slot := t.shadow[i*m.wordsPerLine:]
+		for d := e.dirty; d != 0; d &= d - 1 {
+			idx := bits.TrailingZeros64(d)
+			*e.l.word(idx) = slot[idx]
+		}
 	}
 	t.cleanup()
 	return true
@@ -708,19 +778,17 @@ func (t *Tx) Rollback() AbortCause {
 // cleanup deregisters the transaction from every line it touched and leaves
 // the context idle.
 func (t *Tx) cleanup() {
-	m := t.mem
 	bit := uint64(1) << uint(t.id)
-	for _, la := range t.readLines {
-		m.lineAt(la).readers &^= bit
+	for _, l := range t.readLines {
+		l.readers &^= bit
 	}
-	for _, la := range t.writeLines {
-		if l := m.lineAt(la); l.writer == t.id {
-			l.writer = -1
+	for _, e := range t.wlines {
+		if e.l.writer == t.id {
+			e.l.writer = -1
 		}
 	}
 	t.readLines = t.readLines[:0]
-	t.writeLines = t.writeLines[:0]
-	clear(t.writeBuf)
+	t.wlines = t.wlines[:0]
 	t.active = false
 	t.doomed = false
 	t.doomWasWriter = false
