@@ -17,10 +17,10 @@ import (
 )
 
 // runKernelOnce executes one kernel configuration and returns cycles.
-func runKernelOnce(b *testing.B, bench npb.Bench, prof *htm.Profile, mode vm.Mode, txlen int32, threads int) int64 {
+func runKernelOnce(b *testing.B, bench npb.Bench, prof *htm.Profile, mode vm.Mode, policy string, threads int) int64 {
 	b.Helper()
 	opt := vm.DefaultOptions(prof, mode)
-	opt.TxLength = txlen
+	opt.Policy = policy
 	r, err := npb.Run(bench, opt, threads, npb.ParamsFor(bench, npb.ClassS))
 	if err != nil {
 		b.Fatal(err)
@@ -38,8 +38,8 @@ func BenchmarkMicro(b *testing.B) {
 		b.Run(string(bench), func(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				gil := runKernelOnce(b, bench, htm.ZEC12(), vm.ModeGIL, 0, 12)
-				dyn := runKernelOnce(b, bench, htm.ZEC12(), vm.ModeHTM, 0, 12)
+				gil := runKernelOnce(b, bench, htm.ZEC12(), vm.ModeGIL, "", 12)
+				dyn := runKernelOnce(b, bench, htm.ZEC12(), vm.ModeHTM, "", 12)
 				speedup = float64(gil) / float64(dyn)
 			}
 			b.ReportMetric(speedup, "speedup-vs-GIL")
@@ -56,7 +56,7 @@ func BenchmarkNPB(b *testing.B) {
 			b.Run(prof.Name+"/"+string(bench), func(b *testing.B) {
 				var speedup, abort float64
 				for i := 0; i < b.N; i++ {
-					gil := runKernelOnce(b, bench, prof, vm.ModeGIL, 0, maxThreads)
+					gil := runKernelOnce(b, bench, prof, vm.ModeGIL, "", maxThreads)
 					opt := vm.DefaultOptions(prof, vm.ModeHTM)
 					r, err := npb.Run(bench, opt, maxThreads, npb.ParamsFor(bench, npb.ClassS))
 					if err != nil {
@@ -75,12 +75,12 @@ func BenchmarkNPB(b *testing.B) {
 // BenchmarkFixedLengths covers the fixed-length configurations of Figure 5
 // (HTM-1/16/256) for one allocation-heavy kernel.
 func BenchmarkFixedLengths(b *testing.B) {
-	for _, tl := range []int32{1, 16, 256} {
-		b.Run(map[int32]string{1: "HTM-1", 16: "HTM-16", 256: "HTM-256"}[tl], func(b *testing.B) {
+	for _, tl := range []string{"1", "16", "256"} {
+		b.Run("HTM-"+tl, func(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				gil := runKernelOnce(b, npb.FT, htm.ZEC12(), vm.ModeGIL, 0, 12)
-				fix := runKernelOnce(b, npb.FT, htm.ZEC12(), vm.ModeHTM, tl, 12)
+				gil := runKernelOnce(b, npb.FT, htm.ZEC12(), vm.ModeGIL, "", 12)
+				fix := runKernelOnce(b, npb.FT, htm.ZEC12(), vm.ModeHTM, "fixed-"+tl, 12)
 				speedup = float64(gil) / float64(fix)
 			}
 			b.ReportMetric(speedup, "speedup-vs-GIL")
@@ -138,7 +138,7 @@ func BenchmarkFig6b(b *testing.B) {
 			b.Fatal(err)
 		}
 		opt16 := vm.DefaultOptions(htm.XeonE3(), vm.ModeHTM)
-		opt16.TxLength = 16
+		opt16.Policy = "fixed-16"
 		r16, err := npb.Run(npb.BT, opt16, 8, p)
 		if err != nil {
 			b.Fatal(err)
@@ -220,8 +220,8 @@ func BenchmarkFig9(b *testing.B) {
 		b.Run(rt.name, func(b *testing.B) {
 			var scal float64
 			for i := 0; i < b.N; i++ {
-				one := runKernelOnce(b, npb.FT, htm.ZEC12(), rt.mode, 0, 1)
-				twelve := runKernelOnce(b, npb.FT, htm.ZEC12(), rt.mode, 0, 12)
+				one := runKernelOnce(b, npb.FT, htm.ZEC12(), rt.mode, "", 1)
+				twelve := runKernelOnce(b, npb.FT, htm.ZEC12(), rt.mode, "", 12)
 				scal = float64(one) / float64(twelve)
 			}
 			b.ReportMetric(scal, "scalability-12t")
@@ -246,7 +246,7 @@ func BenchmarkAblation(b *testing.B) {
 		b.Run(va.name, func(b *testing.B) {
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				gil := runKernelOnce(b, npb.FT, htm.ZEC12(), vm.ModeGIL, 0, 8)
+				gil := runKernelOnce(b, npb.FT, htm.ZEC12(), vm.ModeGIL, "", 8)
 				opt := vm.DefaultOptions(htm.ZEC12(), vm.ModeHTM)
 				va.mut(&opt)
 				r, err := npb.Run(npb.FT, opt, 8, npb.ParamsFor(npb.FT, npb.ClassS))

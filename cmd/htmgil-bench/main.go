@@ -8,15 +8,13 @@
 //	htmgil-bench -experiment hybrid -quick -report hybrid.json
 //	htmgil-bench -experiment serving -quick -report serving.json
 //	htmgil-bench -experiment resilience -quick -report resilience.json
+//	htmgil-bench -experiment datastore -quick -csv datastore.csv
 //	htmgil-bench -experiment explore -quick
 //	htmgil-bench -replay-schedule internal/explore/testdata/schedules/counter-flip2.json
 //
-// -list prints the experiment names: micro fig5 fig6a fig6b fig7 fig8
-// fig9 aborts overhead ablation policy hybrid chaos serving resilience
-// explore all.
-// -quick uses scaled-down
-// problem sizes and fewer thread counts; without it the full
-// (paper-shaped) sweep runs, which takes tens of minutes on one host
+// -list prints the experiment names, one per line; -h lists them too.
+// -quick uses scaled-down problem sizes and fewer thread counts; without it
+// the full (paper-shaped) sweep runs, which takes tens of minutes on one host
 // core. The policy experiment sweeps every contention-management policy
 // of internal/policy over the NPB kernels and WEBrick, with per-policy
 // abort-cause and fallback-reason attribution. The hybrid experiment
@@ -39,8 +37,11 @@
 // ladder (legacy retries, client retry budgets, server admission control,
 // full deadlines + brownout), reporting shed/gave-up/deadline-cancelled
 // counts, SLO attainment and request-level time-to-recover (-1 when the
-// service never climbs back out of the trap). The explore
-// experiment runs
+// service never climbs back out of the trap). The datastore experiment
+// runs YCSB point/scan mixes and a TPC-C-flavoured mix over keyspace tables
+// under the two-tier, three-tier and fixed-length runtimes, with one root GIL
+// or eight per-shard GILs, reporting per-tier attribution, the capacity
+// share of aborts and per-shard lock occupancy. The explore experiment runs
 // the systematic schedule explorer (internal/explore) over its checker
 // programs and fails on any serializability, progress, or trace-invariant
 // violation; -replay-schedule FILE re-executes one schedule file emitted
@@ -65,12 +66,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"htmgil/internal/bench"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to regenerate (see -list)")
+	experiment := flag.String("experiment", "all", "which experiment to regenerate: "+strings.Join(bench.Experiments(), " "))
 	list := flag.Bool("list", false, "print the valid experiment names and exit")
 	replaySchedule := flag.String("replay-schedule", "", "replay a schedule file emitted by the explorer and verify it reproduces its recorded result")
 	quick := flag.Bool("quick", false, "scaled-down problem sizes")

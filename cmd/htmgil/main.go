@@ -6,7 +6,8 @@
 //
 // -policy selects the contention-management policy driving lock elision
 // (paper-dynamic, fixed-N, backoff, lazy-subscription, occ-adaptive);
-// "-policy list" prints them with descriptions.
+// "-policy list" prints them with descriptions. -txlen N is shorthand for
+// -policy fixed-N.
 //
 // After the program finishes it can print the execution statistics the
 // paper's evaluation is built from (-stats), and -trace out.jsonl streams
@@ -25,41 +26,74 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"htmgil"
 	"htmgil/internal/compile"
+	"htmgil/internal/gil"
 )
 
-func main() {
-	mode := flag.String("mode", "htm", "execution mode: gil, htm, fgl, ideal")
-	machine := flag.String("machine", "zec12", "machine profile: zec12, xeon")
-	expr := flag.String("e", "", "program text (instead of a file)")
-	txlen := flag.Int("txlen", 0, "fixed transaction length (0 = dynamic adjustment)")
-	policyName := flag.String("policy", "", "contention-management policy (\"\" = paper default, \"list\" = show choices)")
-	stats := flag.Bool("stats", false, "print execution statistics")
-	dump := flag.Bool("dump", false, "disassemble the program instead of running it")
-	traceOut := flag.String("trace", "", "write structured trace events to this JSONL file")
-	faultSpec := flag.String("faults", "", "fault-injection spec, e.g. spurious=30000,connreset=0.02,until=20000000")
-	breaker := flag.Bool("breaker", false, "enable the elision circuit breaker (+ degradation watchdog)")
-	shards := flag.Int("shards", 0, "sharded-GIL mode: one fallback lock per keyspace shard (0 = single GIL; htm mode only)")
-	flag.Parse()
+// cli is what the command line decides: the machine options plus what to do
+// with the program.
+type cli struct {
+	opt      htmgil.Options
+	src      string // -e text; "" = read the file argument
+	file     string
+	stats    bool
+	dump     bool
+	traceOut string
+	listOnly bool   // -policy list
+	usage    string // -h: the flag summary to print
+}
 
-	if *policyName == "list" {
-		for _, line := range htmgil.DescribePolicies() {
-			fmt.Println(line)
+// parseArgs parses and validates the command line. Every error is a usage
+// error: main prints it and exits 2.
+func parseArgs(args []string) (*cli, error) {
+	fs := flag.NewFlagSet("htmgil", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	mode := fs.String("mode", "htm", "execution mode: gil, htm, fgl, ideal")
+	machine := fs.String("machine", "zec12", "machine profile: zec12, xeon")
+	expr := fs.String("e", "", "program text (instead of a file)")
+	txlen := fs.Int("txlen", 0, "fixed transaction length N >= 1: shorthand for -policy fixed-N")
+	policyName := fs.String("policy", "", "contention-management policy (\"\" = paper-dynamic, \"list\" = show choices)")
+	stats := fs.Bool("stats", false, "print execution statistics")
+	dump := fs.Bool("dump", false, "disassemble the program instead of running it")
+	traceOut := fs.String("trace", "", "write structured trace events to this JSONL file")
+	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. spurious=30000,connreset=0.02,until=20000000")
+	breaker := fs.Bool("breaker", false, "enable the elision circuit breaker (+ degradation watchdog)")
+	shards := fs.Int("shards", 0, "sharded-GIL mode: one fallback lock per keyspace shard (0 = single GIL; htm mode only)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			var usage strings.Builder
+			fs.SetOutput(&usage)
+			fs.Usage()
+			return &cli{usage: usage.String()}, nil
 		}
-		return
+		return nil, err
+	}
+	if *policyName == "list" {
+		return &cli{listOnly: true}, nil
+	}
+
+	txlenSet := false
+	fs.Visit(func(f *flag.Flag) { txlenSet = txlenSet || f.Name == "txlen" })
+	if txlenSet {
+		if *policyName != "" {
+			return nil, fmt.Errorf("-txlen %d is shorthand for -policy fixed-%d: give -txlen or -policy, not both", *txlen, *txlen)
+		}
+		if *txlen < 1 {
+			return nil, fmt.Errorf("-txlen %d: the length must be at least 1 (leave -txlen out for dynamic adjustment)", *txlen)
+		}
+		*policyName = fmt.Sprintf("fixed-%d", *txlen)
 	}
 	if !htmgil.ValidPolicy(*policyName) {
-		fmt.Fprintf(os.Stderr, "unknown policy %q; valid policies:\n", *policyName)
-		for _, line := range htmgil.DescribePolicies() {
-			fmt.Fprintln(os.Stderr, " ", line)
-		}
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown policy %q; valid policies:\n  %s", *policyName, strings.Join(htmgil.DescribePolicies(), "\n  "))
 	}
 
 	var prof *htmgil.Profile
@@ -69,8 +103,7 @@ func main() {
 	case "xeon":
 		prof = htmgil.XeonE3()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown machine %q\n", *machine)
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown machine %q", *machine)
 	}
 	var m htmgil.Mode
 	switch *mode {
@@ -83,44 +116,67 @@ func main() {
 	case "ideal":
 		m = htmgil.ModeIdeal
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		return nil, fmt.Errorf("unknown mode %q", *mode)
+	}
+	if *shards < 0 || *shards > gil.MaxShards {
+		return nil, fmt.Errorf("-shards %d: want 0 to %d", *shards, gil.MaxShards)
+	}
+	if *shards > 1 && m != htmgil.ModeHTM {
+		return nil, fmt.Errorf("-shards %d needs -mode htm: only elided sections fall back to shard locks", *shards)
+	}
+	if *expr == "" && fs.NArg() != 1 {
+		return nil, errors.New("usage: htmgil [-mode M] [-machine P] [-stats] script.rb | -e 'code'")
 	}
 
-	src := *expr
-	if src == "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: htmgil [-mode M] [-machine P] [-stats] script.rb | -e 'code'")
-			os.Exit(2)
+	c := &cli{src: *expr, file: fs.Arg(0), stats: *stats, dump: *dump, traceOut: *traceOut}
+	c.opt = htmgil.DefaultOptions(prof, m)
+	c.opt.Policy = *policyName
+	c.opt.Shards = *shards
+	if *faultSpec != "" {
+		spec, err := htmgil.ParseFaultSpec(*faultSpec)
+		if err != nil {
+			return nil, err
 		}
-		data, err := os.ReadFile(flag.Arg(0))
+		c.opt.Faults = spec
+	}
+	if *breaker {
+		c.opt.Breaker = true
+		c.opt.Watchdog = true
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if c.usage != "" {
+		fmt.Fprint(os.Stderr, c.usage)
+		return
+	}
+	if c.listOnly {
+		for _, line := range htmgil.DescribePolicies() {
+			fmt.Println(line)
+		}
+		return
+	}
+	src := c.src
+	if src == "" {
+		data, err := os.ReadFile(c.file)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		src = string(data)
 	}
-
-	opt := htmgil.DefaultOptions(prof, m)
-	opt.TxLength = int32(*txlen)
-	opt.Policy = *policyName
-	opt.Shards = *shards
+	opt := c.opt
+	m, prof := opt.Mode, opt.Prof
 	opt.Out = os.Stdout
-	if *faultSpec != "" {
-		spec, err := htmgil.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opt.Faults = spec
-	}
-	if *breaker {
-		opt.Breaker = true
-		opt.Watchdog = true
-	}
 	var traceSink *htmgil.TraceJSONL
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if c.traceOut != "" {
+		f, err := os.Create(c.traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -131,7 +187,7 @@ func main() {
 	}
 	vmm := htmgil.NewMachineOpts(opt)
 	vmm.InstallDatastore()
-	if *dump {
+	if c.dump {
 		iseq, err := vmm.VM.CompileSource(src, "main")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -151,7 +207,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *stats {
+	if c.stats {
 		fmt.Fprintf(os.Stderr, "\n-- %s on %s --\n", m, prof.Name)
 		fmt.Fprintf(os.Stderr, "virtual cycles: %d\n", res.Cycles)
 		fmt.Fprintf(os.Stderr, "bytecodes:      %d\n", res.Stats.Bytecodes)

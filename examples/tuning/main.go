@@ -26,17 +26,17 @@ func main() {
 	fmt.Println("FT, 12 threads on zEC12: transaction-length tradeoff")
 	fmt.Printf("%-14s %10s %10s %24s\n", "config", "speedup", "abort%", "yield-point lengths")
 	for _, cfg := range []struct {
-		name string
-		len  int32
-	}{{"HTM-1", 1}, {"HTM-16", 16}, {"HTM-256", 256}, {"HTM-dynamic", 0}} {
+		name   string
+		policy string
+	}{{"HTM-1", "fixed-1"}, {"HTM-16", "fixed-16"}, {"HTM-256", "fixed-256"}, {"HTM-dynamic", "paper-dynamic"}} {
 		opt := vm.DefaultOptions(prof, htmgil.ModeHTM)
-		opt.TxLength = cfg.len
+		opt.Policy = cfg.policy
 		r, err := npb.Run(npb.FT, opt, 12, params)
 		if err != nil {
 			log.Fatal(err)
 		}
 		hist := ""
-		if cfg.len == 0 {
+		if cfg.policy == "paper-dynamic" {
 			short, long := 0, 0
 			for l, n := range r.Stats.LengthHistogram {
 				if l <= 16 {

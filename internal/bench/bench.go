@@ -7,38 +7,34 @@
 // Report per executed configuration point (WriteReports) and, when
 // TraceSummary is on, attaches a trace aggregator to every VM run so the
 // per-point digests can attribute aborts to yield points and regions and
-// show the dynamic length-adjustment timeline (WriteTraceSummaries). The
-// package-level Fig*/Table functions are thin wrappers over a fresh Session
-// for callers that only want the plain-text tables.
+// show the dynamic length-adjustment timeline (WriteTraceSummaries).
 //
 // Every configuration point is an independent, fully deterministic
 // single-threaded simulation, so each experiment first enumerates its points
 // into a plan and then executes them on a pool of Session.Parallel workers
 // (see plan.go); results are merged in point order, keeping the output
-// byte-identical to a sequential run.
+// byte-identical to a sequential run. A point is described by a pointSpec
+// and executed by the one function that builds VMs (Session.execPoint); what
+// survives it is a value-only run record, never the machine.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"htmgil/internal/htm"
 	"htmgil/internal/npb"
 	"htmgil/internal/simmem"
-	"htmgil/internal/trace"
 	"htmgil/internal/vm"
 )
 
 // Config names one interpreter configuration of Figure 5/7.
 type Config struct {
-	Name     string
-	Mode     vm.Mode
-	TxLength int32
+	Name string
+	Mode vm.Mode
 	// Policy selects a contention-management policy by registry name
-	// (internal/policy); empty keeps the historical TxLength semantics,
-	// so the paper's five configurations are unaffected.
+	// (internal/policy); empty is the paper's dynamic adjustment.
 	Policy string
 }
 
@@ -46,9 +42,9 @@ type Config struct {
 func Configs() []Config {
 	return []Config{
 		{Name: "GIL", Mode: vm.ModeGIL},
-		{Name: "HTM-1", Mode: vm.ModeHTM, TxLength: 1},
-		{Name: "HTM-16", Mode: vm.ModeHTM, TxLength: 16},
-		{Name: "HTM-256", Mode: vm.ModeHTM, TxLength: 256},
+		{Name: "HTM-1", Mode: vm.ModeHTM, Policy: "fixed-1"},
+		{Name: "HTM-16", Mode: vm.ModeHTM, Policy: "fixed-16"},
+		{Name: "HTM-256", Mode: vm.ModeHTM, Policy: "fixed-256"},
 		{Name: "HTM-dynamic", Mode: vm.ModeHTM},
 	}
 }
@@ -105,43 +101,43 @@ func (s *Session) topN() int {
 	return 5
 }
 
-// attach creates the per-run aggregator and recorder when TraceSummary is
-// on; both are nil otherwise, keeping the instrumented runtime on its
-// nil-check fast path.
-func (s *Session) attach() (*trace.Aggregator, *trace.Recorder) {
-	if !s.TraceSummary {
-		return nil, nil
+// configNames lists the column headers of a configuration sweep.
+func configNames(cfgs []Config) []string {
+	out := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = c.Name
 	}
-	agg := trace.NewAggregator()
-	return agg, trace.NewRecorder(agg)
+	return out
+}
+
+// benchNames lists the column headers of a per-kernel sweep.
+func benchNames(bs []npb.Bench) []string {
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = string(b)
+	}
+	return out
 }
 
 // buildFig5 enumerates Figure 5: NPB throughput against threads for the five
 // configurations on both machines, normalized to 1-thread GIL.
 func (s *Session) buildFig5(p *plan) {
-	quick := s.Quick
+	class := classFor(s.Quick)
+	cfgs := Configs()
 	for _, prof := range []*htm.Profile{htm.ZEC12(), htm.XeonE3()} {
 		for _, bench := range npb.Kernels {
 			p.printf("\n# Figure 5 — %s on %s (throughput, 1 = 1-thread GIL)\n", bench, prof.Name)
-			base := p.kernel(fmt.Sprintf("fig5 baseline %s", bench),
-				"fig5", bench, prof, Configs()[0], 1, classFor(quick), false)
-			p.printf("%-12s", "threads")
-			for _, cfg := range Configs() {
-				p.printf("%14s", cfg.Name)
-			}
-			p.printf("\n")
-			for _, th := range threadsFor(prof, quick) {
-				p.printf("%-12d", th)
-				for _, cfg := range Configs() {
-					r := p.kernel(fmt.Sprintf("fig5 %s/%s/%d", bench, cfg.Name, th),
-						"fig5", bench, prof, cfg, th, classFor(quick), true)
-					p.cell(func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%14.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-						return err
-					})
-				}
-				p.printf("\n")
-			}
+			base := p.point(kernel("fig5", fmt.Sprintf("fig5 baseline %s", bench), prof, cfgs[0], bench, class, 1))
+			p.sweep(sweep{
+				xName: "threads", xs: threadsFor(prof, s.Quick), xw: 12,
+				cols: configNames(cfgs), cw: 14,
+				point: func(th, c int) *run {
+					sp := kernel("fig5", fmt.Sprintf("fig5 %s/%s/%d", bench, cfgs[c].Name, th), prof, cfgs[c], bench, class, th)
+					sp.kernel.checkValid = true
+					return p.point(sp)
+				},
+				cell: func(r *run, _ int) string { return f2(r.over(base)) },
+			})
 		}
 	}
 }
@@ -194,130 +190,89 @@ func (s *Session) buildFig6a(p *plan) {
 // buildFig6b enumerates Figure 6(b): BT with the larger class on Xeon, where
 // the longer run lets HTM-dynamic reach and beat the fixed lengths.
 func (s *Session) buildFig6b(p *plan) {
-	quick := s.Quick
 	prof := htm.XeonE3()
-	class := npb.ClassW
-	if quick {
-		class = npb.ClassS
-	}
+	class := classFor(s.Quick)
+	cfgs := Configs()
 	p.printf("\n# Figure 6b — BT class W on %s (throughput, 1 = 1-thread GIL)\n", prof.Name)
-	base := p.kernel("fig6b baseline", "fig6b", npb.BT, prof, Configs()[0], 1, class, false)
-	p.printf("%-12s", "threads")
-	for _, cfg := range Configs() {
-		p.printf("%14s", cfg.Name)
-	}
-	p.printf("\n")
-	for _, th := range threadsFor(prof, quick) {
-		p.printf("%-12d", th)
-		for _, cfg := range Configs() {
-			r := p.kernel(fmt.Sprintf("fig6b %s/%d", cfg.Name, th),
-				"fig6b", npb.BT, prof, cfg, th, class, false)
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "%14.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-				return err
-			})
-		}
-		p.printf("\n")
-	}
+	base := p.point(kernel("fig6b", "fig6b baseline", prof, cfgs[0], npb.BT, class, 1))
+	p.sweep(sweep{
+		xName: "threads", xs: threadsFor(prof, s.Quick), xw: 12,
+		cols: configNames(cfgs), cw: 14,
+		point: func(th, c int) *run {
+			return p.point(kernel("fig6b", fmt.Sprintf("fig6b %s/%d", cfgs[c].Name, th), prof, cfgs[c], npb.BT, class, th))
+		},
+		cell: func(r *run, _ int) string { return f2(r.over(base)) },
+	})
 }
 
 // buildFig7 enumerates Figure 7: WEBrick on both machines and Rails on Xeon,
 // throughput normalized to 1-client GIL, plus HTM-dynamic abort ratios.
 func (s *Session) buildFig7(p *plan) {
-	quick := s.Quick
 	// The dynamic adjustment needs enough requests to adapt the handler
 	// sites' transaction lengths (the paper served 30,000 per point).
 	requests := 3000
 	clientsList := []int{1, 2, 3, 4, 5, 6}
-	if quick {
+	if s.Quick {
 		requests = 800
 		clientsList = []int{1, 2, 4, 6}
 	}
-	type app struct {
+	cfgs := Configs()
+	for _, a := range []struct {
 		name string
 		prof *htm.Profile
 		zos  bool
-	}
-	apps := []app{
+	}{
 		{"webrick", htm.ZEC12(), true},
 		{"webrick", htm.XeonE3(), false},
 		{"rails", htm.XeonE3(), false},
-	}
-	for _, a := range apps {
+	} {
 		p.printf("\n# Figure 7 — %s on %s (throughput, 1 = 1-client GIL; rightmost: HTM-dynamic abort%%)\n", a.name, a.prof.Name)
-		base := p.server(fmt.Sprintf("fig7 %s baseline", a.name),
-			"fig7", a.name, a.prof, Configs()[0], 1, requests, a.zos)
-		p.printf("%-10s", "clients")
-		for _, cfg := range Configs() {
-			p.printf("%14s", cfg.Name)
-		}
-		p.printf("%14s\n", "abort%")
-		for _, cl := range clientsList {
-			p.printf("%-10d", cl)
-			var dyn *serverRun
-			for _, cfg := range Configs() {
-				r := p.server(fmt.Sprintf("fig7 %s/%s/%d", a.name, cfg.Name, cl),
-					"fig7", a.name, a.prof, cfg, cl, requests, a.zos)
-				if cfg.Name == "HTM-dynamic" {
-					dyn = r
-				}
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%14.2f", r.tp/base.tp)
-					return err
-				})
-			}
-			last := dyn
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "%14.1f\n", last.ab*100)
-				return err
-			})
-		}
+		base := p.point(server("fig7", fmt.Sprintf("fig7 %s baseline", a.name), a.prof, cfgs[0], a.name, 1, requests, a.zos))
+		p.sweep(sweep{
+			xName: "clients", xs: clientsList, xw: 10,
+			cols: configNames(cfgs), cw: 14,
+			point: func(cl, c int) *run {
+				return p.point(server("fig7", fmt.Sprintf("fig7 %s/%s/%d", a.name, cfgs[c].Name, cl), a.prof, cfgs[c], a.name, cl, requests, a.zos))
+			},
+			cell:     func(r *run, _ int) string { return f2(r.over(base)) },
+			tail:     "abort%",
+			tailCell: func(row []*run) string { return f1(row[4].AbortRatio * 100) }, // HTM-dynamic
+		})
 	}
 }
 
 // buildFig8 enumerates Figure 8: HTM-dynamic abort ratios of the NPB against
 // threads on both machines, and the cycle breakdown at 12 threads on zEC12.
 func (s *Session) buildFig8(p *plan) {
-	quick := s.Quick
-	class := classFor(quick)
+	class := classFor(s.Quick)
 	dyn := Configs()[4]
 	for _, prof := range []*htm.Profile{htm.ZEC12(), htm.XeonE3()} {
 		p.printf("\n# Figure 8 — HTM-dynamic abort ratios (%%) on %s\n", prof.Name)
-		p.printf("%-10s", "threads")
-		for _, b := range npb.Kernels {
-			p.printf("%8s", b)
-		}
-		p.printf("\n")
-		for _, th := range threadsFor(prof, quick) {
-			p.printf("%-10d", th)
-			for _, b := range npb.Kernels {
-				r := p.kernel(fmt.Sprintf("fig8 %s/%d", b, th),
-					"fig8", b, prof, dyn, th, class, false)
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%8.1f", r.res.Stats.AbortRatio()*100)
-					return err
-				})
-			}
-			p.printf("\n")
-		}
+		p.sweep(sweep{
+			xName: "threads", xs: threadsFor(prof, s.Quick), xw: 10,
+			cols: benchNames(npb.Kernels), cw: 8,
+			point: func(th, c int) *run {
+				b := npb.Kernels[c]
+				return p.point(kernel("fig8", fmt.Sprintf("fig8 %s/%d", b, th), prof, dyn, b, class, th))
+			},
+			cell: func(r *run, _ int) string { return f1(r.AbortRatio * 100) },
+		})
 	}
 	// Cycle breakdown, 12 threads on zEC12.
+	cats := []vm.CycleCat{vm.CatBeginEnd, vm.CatTxSuccess, vm.CatTxAborted, vm.CatGILHeld, vm.CatGILWait}
 	p.printf("\n# Figure 8 — cycle breakdown, HTM-dynamic, 12 threads, zEC12 (%%)\n")
-	p.printf("%-8s%14s%14s%14s%14s%14s\n", "bench",
-		vm.CatBeginEnd, vm.CatTxSuccess, vm.CatTxAborted, vm.CatGILHeld, vm.CatGILWait)
+	p.printf("%-8s%14s%14s%14s%14s%14s\n", "bench", cats[0], cats[1], cats[2], cats[3], cats[4])
 	for _, b := range npb.Kernels {
-		r := p.kernel(fmt.Sprintf("fig8 breakdown %s", b),
-			"fig8", b, htm.ZEC12(), dyn, 12, class, false)
+		r := p.point(kernel("fig8", fmt.Sprintf("fig8 breakdown %s", b), htm.ZEC12(), dyn, b, class, 12))
 		p.cell(func(w io.Writer) error {
-			st := r.res.Stats
-			total := float64(st.Cycles[vm.CatBeginEnd] + st.Cycles[vm.CatTxSuccess] +
-				st.Cycles[vm.CatTxAborted] + st.Cycles[vm.CatGILHeld] + st.Cycles[vm.CatGILWait])
-			if total == 0 {
-				total = 1
+			var sum int64
+			for _, cat := range cats {
+				sum += r.stats.Cycles[cat]
 			}
+			total := float64(max(sum, 1))
 			fmt.Fprintf(w, "%-8s", b)
-			for _, cat := range []vm.CycleCat{vm.CatBeginEnd, vm.CatTxSuccess, vm.CatTxAborted, vm.CatGILHeld, vm.CatGILWait} {
-				fmt.Fprintf(w, "%14.1f", 100*float64(st.Cycles[cat])/total)
+			for _, cat := range cats {
+				fmt.Fprintf(w, "%14.1f", 100*float64(r.stats.Cycles[cat])/total)
 			}
 			_, err := fmt.Fprintln(w)
 			return err
@@ -329,44 +284,27 @@ func (s *Session) buildFig8(p *plan) {
 // JRuby-style fine-grained-locking runtime, and the Ideal runtime (the
 // Java NPB stand-in), each normalized to its own 1-thread run.
 func (s *Session) buildFig9(p *plan) {
-	quick := s.Quick
-	class := classFor(quick)
-	runtimes := []struct {
-		name string
-		prof *htm.Profile
-		mode vm.Mode
-	}{
-		{"HTM-dynamic/zEC12", htm.ZEC12(), vm.ModeHTM},
-		{"FGL (JRuby-like)", htm.ZEC12(), vm.ModeFGL},
-		{"Ideal (Java-like)", htm.ZEC12(), vm.ModeIdeal},
-	}
-	for _, rt := range runtimes {
-		p.printf("\n# Figure 9 — scalability of %s (1 = own 1-thread)\n", rt.name)
-		p.printf("%-10s", "threads")
-		for _, b := range npb.Kernels {
-			p.printf("%8s", b)
+	class := classFor(s.Quick)
+	prof := htm.ZEC12()
+	for _, rt := range []Config{
+		{Name: "HTM-dynamic/zEC12", Mode: vm.ModeHTM},
+		{Name: "FGL (JRuby-like)", Mode: vm.ModeFGL},
+		{Name: "Ideal (Java-like)", Mode: vm.ModeIdeal},
+	} {
+		p.printf("\n# Figure 9 — scalability of %s (1 = own 1-thread)\n", rt.Name)
+		at := func(b npb.Bench, th int) *run {
+			return p.point(kernel("fig9", fmt.Sprintf("fig9 %s/%s/%d", rt.Name, b, th), prof, rt, b, class, th))
 		}
-		p.printf("\n")
-		bases := map[npb.Bench]*kernelRun{}
-		for _, b := range npb.Kernels {
-			opt := vm.DefaultOptions(rt.prof, rt.mode)
-			bases[b] = p.npb(fmt.Sprintf("fig9 %s/%s/1", rt.name, b),
-				"fig9", rt.name, b, opt, 1, class, false)
+		bases := make([]*run, len(npb.Kernels))
+		for i, b := range npb.Kernels {
+			bases[i] = at(b, 1)
 		}
-		for _, th := range threadsFor(rt.prof, quick) {
-			p.printf("%-10d", th)
-			for _, b := range npb.Kernels {
-				opt := vm.DefaultOptions(rt.prof, rt.mode)
-				r := p.npb(fmt.Sprintf("fig9 %s/%s/%d", rt.name, b, th),
-					"fig9", rt.name, b, opt, th, class, false)
-				base := bases[b]
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%8.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-					return err
-				})
-			}
-			p.printf("\n")
-		}
+		p.sweep(sweep{
+			xName: "threads", xs: threadsFor(prof, s.Quick), xw: 10,
+			cols: benchNames(npb.Kernels), cw: 8,
+			point: func(th, c int) *run { return at(npb.Kernels[c], th) },
+			cell:  func(r *run, c int) string { return f2(r.over(bases[c])) },
+		})
 	}
 }
 
@@ -374,25 +312,22 @@ func (s *Session) buildFig9(p *plan) {
 // Iterator speedups of the best HTM configuration over the GIL at 12
 // threads on zEC12 (the paper reports 11- and 10-fold).
 func (s *Session) buildMicro(p *plan) {
-	quick := s.Quick
 	prof := htm.ZEC12()
-	class := classFor(quick)
+	class := classFor(s.Quick)
+	gil, dyn := Configs()[0], Configs()[4]
 	p.printf("\n# Section 5.3 — micro-benchmark throughput over 1-thread GIL on %s\n", prof.Name)
 	p.printf("# (Figure 4 workloads run per thread, so throughput = threads * cycle ratio)\n")
 	p.printf("%-10s%10s%16s%16s\n", "bench", "threads", "GIL", "HTM-dynamic")
 	for _, b := range npb.Micro {
-		base := p.kernel(fmt.Sprintf("micro baseline %s", b),
-			"micro", b, prof, Configs()[0], 1, class, false)
+		base := p.point(kernel("micro", fmt.Sprintf("micro baseline %s", b), prof, gil, b, class, 1))
 		for _, th := range []int{1, 12} {
-			g := p.kernel(fmt.Sprintf("micro %s/GIL/%d", b, th),
-				"micro", b, prof, Configs()[0], th, class, false)
-			h := p.kernel(fmt.Sprintf("micro %s/HTM-dynamic/%d", b, th),
-				"micro", b, prof, Configs()[4], th, class, false)
+			g := p.point(kernel("micro", fmt.Sprintf("micro %s/GIL/%d", b, th), prof, gil, b, class, th))
+			h := p.point(kernel("micro", fmt.Sprintf("micro %s/HTM-dynamic/%d", b, th), prof, dyn, b, class, th))
 			p.cell(func(w io.Writer) error {
 				work := float64(th)
 				_, err := fmt.Fprintf(w, "%-10s%10d%16.2f%16.2f\n", b, th,
-					work*float64(base.res.Cycles)/float64(g.res.Cycles),
-					work*float64(base.res.Cycles)/float64(h.res.Cycles))
+					work*float64(base.Cycles)/float64(g.Cycles),
+					work*float64(base.Cycles)/float64(h.Cycles))
 				return err
 			})
 		}
@@ -402,46 +337,13 @@ func (s *Session) buildMicro(p *plan) {
 // buildAborts enumerates the Section 5.6 analyses: abort causes and the
 // memory regions responsible for conflict aborts.
 func (s *Session) buildAborts(p *plan) {
-	quick := s.Quick
-	class := classFor(quick)
-	dyn := Configs()[4]
+	class := classFor(s.Quick)
 	p.printf("\n# Section 5.6 — abort causes and conflict regions, HTM-dynamic, 12 threads, zEC12\n")
 	for _, b := range npb.Kernels {
-		r := p.kernel(fmt.Sprintf("aborts %s", b),
-			"aborts", b, htm.ZEC12(), dyn, 12, class, false)
+		r := p.point(kernel("aborts", fmt.Sprintf("aborts %s", b), htm.ZEC12(), Configs()[4], b, class, 12))
 		p.cell(func(w io.Writer) error {
-			st := r.res.Stats
-			fmt.Fprintf(w, "%-6s causes:", b)
-			var causes []string
-			for c := range st.AbortCauses {
-				causes = append(causes, c.String())
-			}
-			sort.Strings(causes)
-			total := uint64(0)
-			for _, n := range st.AbortCauses {
-				total += n
-			}
-			for _, cs := range causes {
-				for c, n := range st.AbortCauses {
-					if c.String() == cs && total > 0 {
-						fmt.Fprintf(w, " %s=%.0f%%", cs, 100*float64(n)/float64(total))
-					}
-				}
-			}
-			fmt.Fprintf(w, " | conflict regions:")
-			var regions []string
-			ctotal := uint64(0)
-			for reg, n := range st.ConflictRegions {
-				regions = append(regions, reg)
-				ctotal += n
-			}
-			sort.Strings(regions)
-			for _, reg := range regions {
-				if ctotal > 0 {
-					fmt.Fprintf(w, " %s=%.0f%%", reg, 100*float64(st.ConflictRegions[reg])/float64(ctotal))
-				}
-			}
-			_, err := fmt.Fprintln(w)
+			_, err := fmt.Fprintf(w, "%-6s causes:%s | conflict regions:%s\n", b,
+				sortedCounts(r.AbortCauses, true), sortedCounts(r.ConflictRegions, true))
 			return err
 		})
 	}
@@ -450,18 +352,15 @@ func (s *Session) buildAborts(p *plan) {
 // buildOverhead enumerates the Section 5.6 single-thread overhead: the
 // paper reports HTM-dynamic 18–35% slower than the GIL with one thread.
 func (s *Session) buildOverhead(p *plan) {
-	quick := s.Quick
-	class := classFor(quick)
+	class := classFor(s.Quick)
 	p.printf("\n# Section 5.6 — single-thread overhead of HTM-dynamic vs GIL (zEC12)\n")
 	p.printf("%-8s%14s\n", "bench", "overhead%")
 	for _, b := range npb.Kernels {
-		g := p.kernel(fmt.Sprintf("overhead %s/GIL", b),
-			"overhead", b, htm.ZEC12(), Configs()[0], 1, class, false)
-		h := p.kernel(fmt.Sprintf("overhead %s/HTM-dynamic", b),
-			"overhead", b, htm.ZEC12(), Configs()[4], 1, class, false)
+		g := p.point(kernel("overhead", fmt.Sprintf("overhead %s/GIL", b), htm.ZEC12(), Configs()[0], b, class, 1))
+		h := p.point(kernel("overhead", fmt.Sprintf("overhead %s/HTM-dynamic", b), htm.ZEC12(), Configs()[4], b, class, 1))
 		p.cell(func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "%-8s%14.1f\n", b,
-				100*(float64(h.res.Cycles)/float64(g.res.Cycles)-1))
+				100*(float64(h.Cycles)/float64(g.Cycles)-1))
 			return err
 		})
 	}
@@ -470,21 +369,18 @@ func (s *Session) buildOverhead(p *plan) {
 // buildAblation enumerates the Section 4.2/4.4 findings: removing the new
 // yield points or the conflict removals destroys the HTM speedup.
 func (s *Session) buildAblation(p *plan) {
-	quick := s.Quick
-	class := classFor(quick)
+	class := classFor(s.Quick)
 	prof := htm.ZEC12()
 	threads := 8
 	bench := npb.FT
-	baseOpt := vm.DefaultOptions(prof, vm.ModeGIL)
-	baseRun := p.npb("ablation baseline", "ablation", "GIL", bench, baseOpt, threads, class, false)
+	base := p.point(kernel("ablation", "ablation baseline", prof, Configs()[0], bench, class, threads))
 	p.printf("\n# Ablations — %s, %d threads, zEC12 (speedup over GIL at same threads)\n", bench, threads)
 	p.printf("%-38s%14s\n", "configuration", "speedup")
-	type variant struct {
-		name string
-		mut  func(*vm.Options)
-	}
-	variants := []variant{
-		{"HTM-dynamic (all optimizations)", func(o *vm.Options) {}},
+	for _, va := range []struct {
+		name  string
+		tweak func(*vm.Options)
+	}{
+		{"HTM-dynamic (all optimizations)", nil},
 		{"- extended yield points (§4.2)", func(o *vm.Options) { o.ExtendedYieldPoints = false }},
 		{"- thread-local free lists (§4.4)", func(o *vm.Options) { o.ThreadLocalFreeLists = false }},
 		{"- globals in TLS (§4.4)", func(o *vm.Options) { o.GlobalVarsToTLS = false }},
@@ -496,68 +392,20 @@ func (s *Session) buildAblation(p *plan) {
 			o.FillOnceInlineCaches = false
 			o.PaddedThreadStructs = false
 		}},
-	}
-	for _, va := range variants {
-		opt := vm.DefaultOptions(prof, vm.ModeHTM)
-		va.mut(&opt)
-		r := p.npb(fmt.Sprintf("ablation %q", va.name),
-			"ablation", va.name, bench, opt, threads, class, false)
+	} {
+		sp := kernel("ablation", fmt.Sprintf("ablation %q", va.name), prof,
+			Config{Name: va.name, Mode: vm.ModeHTM}, bench, class, threads)
+		sp.kernel.tweak = va.tweak
+		r := p.point(sp)
 		p.cell(func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%-38s%14.2f\n", va.name,
-				float64(baseRun.res.Cycles)/float64(r.res.Cycles))
+			_, err := fmt.Fprintf(w, "%-38s%14.2f\n", va.name, r.over(base))
 			return err
 		})
 	}
 }
 
-// Fig5 regenerates Figure 5 (see buildFig5).
-func (s *Session) Fig5() error { return s.runPlan(s.buildFig5) }
-
-// Fig6a regenerates Figure 6(a) (see buildFig6a).
-func (s *Session) Fig6a() error { return s.runPlan(s.buildFig6a) }
-
-// Fig6b regenerates Figure 6(b) (see buildFig6b).
-func (s *Session) Fig6b() error { return s.runPlan(s.buildFig6b) }
-
-// Fig7 regenerates Figure 7 (see buildFig7).
-func (s *Session) Fig7() error { return s.runPlan(s.buildFig7) }
-
-// Fig8 regenerates Figure 8 (see buildFig8).
-func (s *Session) Fig8() error { return s.runPlan(s.buildFig8) }
-
-// Fig9 regenerates Figure 9 (see buildFig9).
-func (s *Session) Fig9() error { return s.runPlan(s.buildFig9) }
-
-// MicroTable regenerates the Section 5.3 micro-benchmark table.
-func (s *Session) MicroTable() error { return s.runPlan(s.buildMicro) }
-
-// AbortsTable regenerates the Section 5.6 abort analyses.
-func (s *Session) AbortsTable() error { return s.runPlan(s.buildAborts) }
-
-// OverheadTable regenerates the Section 5.6 single-thread overhead table.
-func (s *Session) OverheadTable() error { return s.runPlan(s.buildOverhead) }
-
-// AblationTable regenerates the Section 4.2/4.4 ablations.
-func (s *Session) AblationTable() error { return s.runPlan(s.buildAblation) }
-
-// runPlan enumerates one experiment into a fresh plan and flushes it.
-func (s *Session) runPlan(build func(*plan)) error {
-	p := s.newPlan()
-	build(p)
-	return p.flush()
-}
-
-// All runs every experiment in one plan, so the worker pool spans experiment
-// boundaries and the tail of one experiment overlaps the head of the next.
-func (s *Session) All() error {
-	p := s.newPlan()
-	for _, st := range s.steps() {
-		st.build(p)
-	}
-	return p.flush()
-}
-
-func (s *Session) steps() []struct {
+// experiments lists every experiment in the order "all" runs them.
+func (s *Session) experiments() []struct {
 	name  string
 	build func(*plan)
 } {
@@ -577,62 +425,27 @@ func (s *Session) steps() []struct {
 // Experiments returns every experiment name accepted by Run, "all" last.
 func Experiments() []string {
 	var s Session
-	steps := s.steps()
-	out := make([]string, 0, len(steps)+1)
-	for _, st := range steps {
-		out = append(out, st.name)
+	var out []string
+	for _, e := range s.experiments() {
+		out = append(out, e.name)
 	}
 	return append(out, "all")
 }
 
-// Run dispatches one experiment by id.
+// Run executes one experiment by name. "all" enumerates every experiment
+// into one plan, so the worker pool spans experiment boundaries and the tail
+// of one experiment overlaps the head of the next.
 func (s *Session) Run(name string) error {
-	if name == "all" {
-		return s.All()
-	}
-	for _, st := range s.steps() {
-		if st.name == name {
-			return s.runPlan(st.build)
+	p := &plan{s: s}
+	known := false
+	for _, e := range s.experiments() {
+		if name == e.name || name == "all" {
+			e.build(p)
+			known = true
 		}
 	}
-	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), " "))
+	if !known {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(Experiments(), " "))
+	}
+	return p.flush()
 }
-
-// Package-level wrappers retain the original one-shot API: each runs the
-// experiment in a fresh Session and discards the reports.
-
-// Fig5 regenerates Figure 5 (see Session.Fig5).
-func Fig5(w io.Writer, quick bool) error { return NewSession(w, quick).Fig5() }
-
-// Fig6a regenerates Figure 6(a) (see Session.Fig6a).
-func Fig6a(w io.Writer, quick bool) error { return NewSession(w, quick).Fig6a() }
-
-// Fig6b regenerates Figure 6(b) (see Session.Fig6b).
-func Fig6b(w io.Writer, quick bool) error { return NewSession(w, quick).Fig6b() }
-
-// Fig7 regenerates Figure 7 (see Session.Fig7).
-func Fig7(w io.Writer, quick bool) error { return NewSession(w, quick).Fig7() }
-
-// Fig8 regenerates Figure 8 (see Session.Fig8).
-func Fig8(w io.Writer, quick bool) error { return NewSession(w, quick).Fig8() }
-
-// Fig9 regenerates Figure 9 (see Session.Fig9).
-func Fig9(w io.Writer, quick bool) error { return NewSession(w, quick).Fig9() }
-
-// MicroTable regenerates the Section 5.3 table (see Session.MicroTable).
-func MicroTable(w io.Writer, quick bool) error { return NewSession(w, quick).MicroTable() }
-
-// AbortsTable regenerates the Section 5.6 analyses (see Session.AbortsTable).
-func AbortsTable(w io.Writer, quick bool) error { return NewSession(w, quick).AbortsTable() }
-
-// OverheadTable regenerates the Section 5.6 overhead table (see Session.OverheadTable).
-func OverheadTable(w io.Writer, quick bool) error { return NewSession(w, quick).OverheadTable() }
-
-// AblationTable regenerates the ablation table (see Session.AblationTable).
-func AblationTable(w io.Writer, quick bool) error { return NewSession(w, quick).AblationTable() }
-
-// All runs every experiment in a fresh Session.
-func All(w io.Writer, quick bool) error { return NewSession(w, quick).All() }
-
-// ByName dispatches one experiment by id in a fresh Session.
-func ByName(name string, w io.Writer, quick bool) error { return NewSession(w, quick).Run(name) }

@@ -9,9 +9,6 @@ import (
 // JSON reports and CSV — matches its committed digest (see digest_test.go),
 // which pins it across runs, worker counts and commits.
 func TestChaosExperimentDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick chaos run")
-	}
 	t1, r1, c1 := checkQuickDigest(t, "chaos")
 
 	// Sanity on the content: every profile row renders, the reports carry

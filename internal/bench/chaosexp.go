@@ -5,13 +5,10 @@ import (
 	"io"
 	"strconv"
 
-	"htmgil/internal/core"
 	"htmgil/internal/fault"
 	"htmgil/internal/htm"
 	"htmgil/internal/npb"
-	"htmgil/internal/trace"
 	"htmgil/internal/vm"
-	"htmgil/internal/webrick"
 )
 
 // The chaos experiment sweeps the named fault profiles (fault.ChaosProfiles)
@@ -26,142 +23,21 @@ import (
 // canonical spec text and the effective fault-stream seed that reproduce the
 // run byte for byte.
 
-// chaosRun is the handle to one chaos point.
-type chaosRun struct {
-	tp      float64 // webrick: requests per virtual second; kernels: 0
-	cycles  int64
-	ab      float64
-	st      *vm.Stats
-	faults  uint64 // total injected faults, all channels
-	trips   uint64 // breaker opens
-	degr    uint64 // watchdog degradation events
-	recover *int64 // see timeToRecover
+// recoverText renders a time-to-recover column: "-" when the point has no
+// bounded fault horizon to recover from.
+func recoverText(r *run) string {
+	if r.RecoverCycles == nil {
+		return "-"
+	}
+	return strconv.FormatInt(*r.RecoverCycles, 10)
 }
 
-func (cr *chaosRun) fill(tp, ab float64, cycles int64, st *vm.Stats, spec *fault.Spec) {
-	cr.tp, cr.ab, cr.cycles, cr.st = tp, ab, cycles, st
-	for _, n := range st.FaultCounts {
-		cr.faults += n
-	}
-	for _, n := range st.Degradations {
-		cr.degr += n
-	}
-	cr.trips = st.BreakerOpens
-	cr.recover = timeToRecover(st, spec)
-}
-
-// timeToRecover measures graceful degradation: the cycles between the
-// spec's fault horizon clearing (until=) and the breaker's final settle
-// into the closed state. nil when the profile has no bounded horizon (there
-// is nothing to recover from); -1 when the breaker tripped and never closed
-// again within the run; 0 when it never tripped at all.
-func timeToRecover(st *vm.Stats, spec *fault.Spec) *int64 {
-	if spec == nil || spec.Until <= 0 {
-		return nil
-	}
-	var v int64
-	if n := len(st.BreakerTransitions); n > 0 {
-		v = -1
-		if last := st.BreakerTransitions[n-1]; last.State == core.BreakerClosed.String() {
-			if v = last.T - spec.Until; v < 0 {
-				v = 0
-			}
-		}
-	}
-	return &v
-}
-
-// chaosSeed is the effective fault-stream seed of a chaos point: the spec's
-// own override when set, else the run seed the workload harnesses use
-// (vm.DefaultOptions).
-func chaosSeed(spec *fault.Spec, prof *htm.Profile) int64 {
-	if spec.Seed != 0 {
-		return spec.Seed
-	}
-	return vm.DefaultOptions(prof, vm.ModeHTM).Seed
-}
-
-// chaosReport decorates the point's Report with the fault provenance.
-func (s *Session) chaosReport(prof *htm.Profile, workload, config string, threads, clients int,
-	cycles int64, tp float64, st *vm.Stats, agg *trace.Aggregator, spec *fault.Spec, cr *chaosRun) Report {
-	rep := newReport("chaos", prof.Name, workload, config, threads, clients, cycles, tp, st, agg, s.topN())
-	rep.FaultSpec = spec.String()
-	if rep.FaultSpec != "" {
-		rep.Seed = chaosSeed(spec, prof)
-	}
-	rep.RecoverCycles = cr.recover
-	return rep
-}
-
-// chaosServer enumerates one WEBrick point of the chaos experiment.
-func (p *plan) chaosServer(label string, prof *htm.Profile, ns fault.NamedSpec, clients, requests int, zos bool) *chaosRun {
-	cr := &chaosRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		spec, err := fault.ParseSpec(ns.Text)
-		if err != nil {
-			return err
-		}
-		agg := trace.NewAggregator()
-		r, err := webrick.Run(webrick.Config{Prof: prof, Mode: vm.ModeHTM,
-			Clients: clients, Requests: requests, ZOSMalloc: zos,
-			Trace: trace.NewRecorder(agg), Faults: spec, Breaker: true, Watchdog: true})
-		if err != nil {
-			return err
-		}
-		cr.fill(r.Throughput, r.AbortRatio, r.Cycles, r.Stats, spec)
-		pt.rep = s.chaosReport(prof, "webrick", ns.Name, 0, clients, r.Cycles, r.Throughput, r.Stats, agg, spec, cr)
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return cr
-}
-
-// chaosKernel enumerates one NPB point of the chaos experiment. The kernel
-// must still validate numerically: faults may slow the run down, never
-// corrupt it.
-func (p *plan) chaosKernel(label string, b npb.Bench, prof *htm.Profile, ns fault.NamedSpec, threads int, c npb.Class) *chaosRun {
-	cr := &chaosRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		spec, err := fault.ParseSpec(ns.Text)
-		if err != nil {
-			return err
-		}
-		agg := trace.NewAggregator()
-		opt := vm.DefaultOptions(prof, vm.ModeHTM)
-		opt.Trace = trace.NewRecorder(agg)
-		opt.Faults = spec
-		opt.Breaker = true
-		opt.Watchdog = true
-		r, err := npb.Run(b, opt, threads, npb.ParamsFor(b, c))
-		if err != nil {
-			return err
-		}
-		if !r.Valid {
-			return errValidation
-		}
-		cr.fill(0, r.Stats.AbortRatio(), r.Cycles, r.Stats, spec)
-		pt.rep = s.chaosReport(prof, string(b), ns.Name, threads, 0, r.Cycles, 0, r.Stats, agg, spec, cr)
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return cr
-}
-
-// chaosRow renders one profile row; tput and rel are computed by the caller
-// (server rows use request throughput, kernel rows use cycle ratios).
-func chaosRow(w io.Writer, name string, tput, rel float64, r *chaosRun) error {
-	rec := "-"
-	if r.recover != nil {
-		rec = strconv.FormatInt(*r.recover, 10)
-	}
+// chaosRow renders one profile row; tput is computed by the caller (server
+// rows use request throughput, kernel rows use Mcycles).
+func chaosRow(w io.Writer, name string, tput float64, r, clean *run) error {
 	_, err := fmt.Fprintf(w, "%-14s%12.1f%8.2f%8.1f%%%11d%8d%7d%7d%10s\n",
-		name, tput, rel, r.ab*100, r.st.GILFallbacks, r.faults, r.trips, r.degr, rec)
+		name, tput, r.over(clean), r.AbortRatio*100, r.Fallbacks,
+		sumCounts(r.FaultCounts), r.BreakerOpens, sumCounts(r.Degradations), recoverText(r))
 	return err
 }
 
@@ -172,6 +48,7 @@ const chaosHeader = "%-14s%12s%8s%9s%11s%8s%7s%7s%10s\n"
 func (s *Session) buildChaos(p *plan) {
 	quick := s.Quick
 	profiles := fault.ChaosProfiles()
+	dyn := Config{Mode: vm.ModeHTM}
 	p.printf("\n# Chaos — fault profiles (elision breaker + degradation watchdog on)\n")
 	for _, ns := range profiles {
 		text := ns.Text
@@ -179,6 +56,23 @@ func (s *Session) buildChaos(p *plan) {
 			text = "(no faults)"
 		}
 		p.printf("#   %-14s %s\n", ns.Name, text)
+	}
+	// sweepProfiles runs one spec per fault profile (the Config is named
+	// after the profile) and prints a row for each, relative to the first,
+	// clean one.
+	sweepProfiles := func(spec func(cfg Config) pointSpec, tput func(r *run) float64) {
+		var clean *run
+		for _, ns := range profiles {
+			cfg := dyn
+			cfg.Name = ns.Name
+			sp := spec(cfg)
+			sp.trace, sp.faults, sp.guard = true, ns.Text, true
+			r := p.point(sp)
+			if clean == nil {
+				clean = r
+			}
+			p.cell(func(w io.Writer) error { return chaosRow(w, ns.Name, tput(r), r, clean) })
+		}
 	}
 
 	// WEBrick runs on the Xeon profile, where elision works well enough
@@ -194,39 +88,20 @@ func (s *Session) buildChaos(p *plan) {
 	p.printf("\n# Chaos — webrick on %s, %d clients, %d requests (rel = tput/clean)\n",
 		srvProf.Name, clients, requests)
 	p.printf(chaosHeader, "profile", "tput", "rel", "abort%", "fallbacks", "faults", "trips", "degr", "recover")
-	var base *chaosRun
-	for i, ns := range profiles {
-		r := p.chaosServer(fmt.Sprintf("chaos webrick/%s", ns.Name), srvProf, ns, clients, requests, false)
-		if i == 0 {
-			base = r
-		}
-		name, b := ns.Name, base
-		p.cell(func(w io.Writer) error {
-			return chaosRow(w, name, r.tp, r.tp/b.tp, r)
-		})
-	}
+	sweepProfiles(func(cfg Config) pointSpec {
+		return server("chaos", "chaos webrick/"+cfg.Name, srvProf, cfg, "webrick", clients, requests, false)
+	}, func(r *run) float64 { return r.Throughput })
 
+	// The kernel must still validate numerically: faults may slow the run
+	// down, never corrupt it.
 	prof := htm.ZEC12()
 	threads := 8
-	class := classFor(quick)
 	p.printf("\n# Chaos — %s on %s, %d threads (validated; rel = clean-cycles/cycles; tput in Mcycles)\n",
 		npb.CG, prof.Name, threads)
 	p.printf(chaosHeader, "profile", "Mcycles", "rel", "abort%", "fallbacks", "faults", "trips", "degr", "recover")
-	base = nil
-	for i, ns := range profiles {
-		r := p.chaosKernel(fmt.Sprintf("chaos %s/%s", npb.CG, ns.Name), npb.CG, prof, ns, threads, class)
-		if i == 0 {
-			base = r
-		}
-		name, b := ns.Name, base
-		p.cell(func(w io.Writer) error {
-			return chaosRow(w, name, float64(r.cycles)/1e6, float64(b.cycles)/float64(r.cycles), r)
-		})
-	}
+	sweepProfiles(func(cfg Config) pointSpec {
+		sp := kernel("chaos", fmt.Sprintf("chaos %s/%s", npb.CG, cfg.Name), prof, cfg, npb.CG, classFor(quick), threads)
+		sp.kernel.checkValid = true
+		return sp
+	}, func(r *run) float64 { return float64(r.Cycles) / 1e6 })
 }
-
-// ChaosTable regenerates the chaos experiment (see buildChaos).
-func (s *Session) ChaosTable() error { return s.runPlan(s.buildChaos) }
-
-// ChaosTable regenerates the chaos experiment in a fresh Session.
-func ChaosTable(w io.Writer, quick bool) error { return NewSession(w, quick).ChaosTable() }

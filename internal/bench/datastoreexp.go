@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"htmgil/internal/db"
 	"htmgil/internal/htm"
 	"htmgil/internal/keyspace"
 	"htmgil/internal/vm"
@@ -36,103 +34,38 @@ func datastoreConfigs() []datastoreConfig {
 		{"paper-dynamic/s8", Config{Name: "paper-dynamic/s8", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 8},
 		{"occ-adaptive/s1", Config{Name: "occ-adaptive/s1", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, 1},
 		{"occ-adaptive/s8", Config{Name: "occ-adaptive/s8", Mode: vm.ModeHTM, Policy: "occ-adaptive"}, 8},
-		{"fixed-1/s1", Config{Name: "fixed-1/s1", Mode: vm.ModeHTM, TxLength: 1}, 1},
+		{"fixed-1/s1", Config{Name: "fixed-1/s1", Mode: vm.ModeHTM, Policy: "fixed-1"}, 1},
 	}
 }
 
-// datastoreRun is the plan-side handle to one datastore point.
-type datastoreRun struct {
-	cycles int64
-	st     *vm.Stats
-	output string
-	tp     float64 // committed ops per virtual second
-}
-
-// datastore enumerates one workload run: build the driver, install the
-// store and the session natives, run the generated program.
-func (p *plan) datastore(label string, wcfg keyspace.Config, cfg Config, shards, threads int) *datastoreRun {
-	dr := &datastoreRun{}
-	pt := &point{label: label}
-	s := p.s
+// datastorePoint is the spec of one workload run: the driver's generated
+// program against the store, on a fresh datastore node.
+func datastorePoint(label string, wcfg keyspace.Config, cfg Config, shards, threads int) pointSpec {
 	wcfg.Threads = threads
-	pt.exec = func() error {
-		drv, err := keyspace.NewDriver(wcfg)
-		if err != nil {
-			return err
-		}
-		agg, rec := s.attach()
-		prof := htm.DatastoreNode()
-		opt := vm.DefaultOptions(prof, cfg.Mode)
-		opt.TxLength = cfg.TxLength
-		opt.Policy = cfg.Policy
-		opt.Shards = shards
-		opt.Trace = rec
-		machine := vm.New(opt)
-		db.Install(machine)
-		drv.Install(machine)
-		iseq, err := machine.CompileSource(drv.Program(), "datastore-"+wcfg.Workload)
-		if err != nil {
-			return err
-		}
-		res, err := machine.Run(iseq)
-		if err != nil {
-			return err
-		}
-		dr.cycles = res.Cycles
-		dr.st = res.Stats
-		dr.output = res.Output
-		ops := float64(threads) * float64(wcfg.Ops)
-		dr.tp = ops * float64(vm.CyclesPerSecond) / float64(res.Cycles)
-		pt.rep = newReport("datastore", prof.Name, "ycsb-"+wcfg.Workload, cfg.Name,
-			threads, 0, res.Cycles, dr.tp, res.Stats, agg, s.topN())
-		pt.rep.Shards = shards
-		for _, n := range res.Stats.ShardFallbacks {
-			pt.rep.ShardFallbacks += n
-		}
-		pt.rep.CrossShardLeaks = res.Stats.CrossShardLeaks
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return dr
+	return pointSpec{label: label, exp: "datastore", prof: htm.DatastoreNode(), cfg: cfg,
+		store: &storeLoad{wcfg: wcfg, shards: shards}}
 }
 
 // datastoreCauses renders the abort-cause split that identifies the
 // capacity regime: what share of hardware aborts were footprint overflows
 // versus conflicts.
-func datastoreCauses(w io.Writer, name string, st *vm.Stats) error {
-	var total, capacity uint64
-	var causes []string
-	for c, n := range st.AbortCauses {
-		total += n
-		cs := c.String()
-		if cs == "read-overflow" || cs == "write-overflow" {
-			capacity += n
-		}
-		causes = append(causes, cs)
-	}
-	sort.Strings(causes)
-	fmt.Fprintf(w, "%-20s", name)
+func datastoreCauses(w io.Writer, name string, r *run) error {
+	total := sumCounts(r.AbortCauses)
 	if total == 0 {
-		_, err := fmt.Fprintf(w, " no aborts\n")
+		_, err := fmt.Fprintf(w, "%-20s no aborts\n", name)
 		return err
 	}
-	fmt.Fprintf(w, " capacity=%3.0f%% |", 100*float64(capacity)/float64(total))
-	for _, cs := range causes {
-		for c, n := range st.AbortCauses {
-			if c.String() == cs {
-				fmt.Fprintf(w, " %s=%.0f%%", cs, 100*float64(n)/float64(total))
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w)
+	capacity := r.AbortCauses["read-overflow"] + r.AbortCauses["write-overflow"]
+	_, err := fmt.Fprintf(w, "%-20s capacity=%3.0f%% |%s\n", name,
+		100*float64(capacity)/float64(total), sortedCounts(r.AbortCauses, true))
 	return err
 }
 
 // datastoreShardTable renders per-shard GIL occupancy for a sharded point:
 // acquisitions, hold cycles, and routed fallbacks per lock, root included,
 // plus the cross-shard leak counter.
-func datastoreShardTable(w io.Writer, st *vm.Stats) error {
+func datastoreShardTable(w io.Writer, r *run) error {
+	st := &r.stats
 	fmt.Fprintf(w, "%-8s%12s%14s%12s\n", "lock", "acquires", "holdCycles", "fallbacks")
 	fmt.Fprintf(w, "%-8s%12d%14d%12d\n", "root", st.RootGIL.Acquisitions, st.RootGIL.HoldCycles, st.GILFallbacks-sumU64(st.ShardFallbacks))
 	for i, g := range st.ShardGIL {
@@ -146,14 +79,6 @@ func datastoreShardTable(w io.Writer, st *vm.Stats) error {
 	return err
 }
 
-func sumU64(xs []uint64) uint64 {
-	var t uint64
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
 // datastoreGrid sizes the sweep.
 func datastoreGrid(quick bool) (workloads []string, keys int64, ops int, threadsList []int) {
 	if quick {
@@ -164,55 +89,35 @@ func datastoreGrid(quick bool) (workloads []string, keys int64, ops int, threads
 
 // buildDatastore enumerates the datastore experiment.
 func (s *Session) buildDatastore(p *plan) {
-	quick := s.Quick
-	workloads, keys, ops, threadsList := datastoreGrid(quick)
+	workloads, keys, ops, threadsList := datastoreGrid(s.Quick)
 	cfgs := datastoreConfigs()
+	names := make([]string, len(cfgs))
+	for i, dc := range cfgs {
+		names[i] = dc.name
+	}
 	attrTh := threadsList[0]
 	const seed = 20140215 // the paper's PPoPP publication month
 	for _, wl := range workloads {
 		wcfg := keyspace.Config{Workload: wl, Keys: keys, Ops: ops, Seed: seed}
 		p.printf("\n# Datastore — YCSB-%s, %d keys on %s (throughput, 1 = 1-thread GIL)\n",
 			wl, keys, htm.DatastoreNode().Name)
-		base := p.datastore(fmt.Sprintf("datastore baseline %s", wl),
-			wcfg, Config{Name: "GIL", Mode: vm.ModeGIL}, 1, 1)
-		p.printf("%-10s", "threads")
-		for _, dc := range cfgs {
-			p.printf("%18s", dc.name)
-		}
-		p.printf("\n")
-		top := map[string]*datastoreRun{}
-		for _, th := range threadsList {
-			p.printf("%-10d", th)
-			for _, dc := range cfgs {
-				r := p.datastore(fmt.Sprintf("datastore %s/%s/%d", wl, dc.name, th),
-					wcfg, dc.cfg, dc.shards, th)
-				if th == attrTh {
-					top[dc.name] = r
-				}
-				baseR := base
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%18.2f", r.tp/baseR.tp)
-					return err
-				})
-			}
-			p.printf("\n")
-		}
+		base := p.point(datastorePoint(fmt.Sprintf("datastore baseline %s", wl),
+			wcfg, Config{Name: "GIL", Mode: vm.ModeGIL}, 1, 1))
+		rows := p.sweep(sweep{
+			xName: "threads", xs: threadsList, xw: 10,
+			cols: names, cw: 18,
+			point: func(th, c int) *run {
+				return p.point(datastorePoint(fmt.Sprintf("datastore %s/%s/%d", wl, names[c], th),
+					wcfg, cfgs[c].cfg, cfgs[c].shards, th))
+			},
+			cell: func(r *run, _ int) string { return f2(r.over(base)) },
+		})
+		top := rows[0] // attrTh
 		p.printf("\n# Datastore per-tier attribution — YCSB-%s, %d threads\n", wl, attrTh)
-		hybridAttributionHeader(p)
-		for _, dc := range cfgs {
-			r := top[dc.name]
-			name := dc.name
-			p.cell(func(w io.Writer) error {
-				return hybridAttribution(w, name, r.st)
-			})
-		}
+		tierAttribution(p, names, top)
 		p.printf("\n# Datastore abort causes — YCSB-%s, %d threads (capacity = footprint overflow)\n", wl, attrTh)
-		for _, dc := range cfgs {
-			r := top[dc.name]
-			name := dc.name
-			p.cell(func(w io.Writer) error {
-				return datastoreCauses(w, name, r.st)
-			})
+		for i, name := range names {
+			p.cell(func(w io.Writer) error { return datastoreCauses(w, name, top[i]) })
 		}
 		// Single-thread isolation rows: with one thread there are no
 		// conflicts and no lock-word doom cascades, so what remains is the
@@ -220,33 +125,19 @@ func (s *Session) buildDatastore(p *plan) {
 		// bare. fixed-1 bounds a window to one yield interval; the dynamic
 		// policy's longer windows batch statements until the write set
 		// bursts.
-		iso1 := p.datastore(fmt.Sprintf("datastore iso %s/fixed-1", wl),
-			wcfg, Config{Name: "fixed-1", Mode: vm.ModeHTM, TxLength: 1}, 1, 1)
-		isoP := p.datastore(fmt.Sprintf("datastore iso %s/paper", wl),
-			wcfg, Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 1, 1)
-		p.cell(func(w io.Writer) error {
-			return datastoreCauses(w, "solo fixed-1", iso1.st)
-		})
-		p.cell(func(w io.Writer) error {
-			return datastoreCauses(w, "solo paper-dynamic", isoP.st)
-		})
+		iso1 := p.point(datastorePoint(fmt.Sprintf("datastore iso %s/fixed-1", wl),
+			wcfg, Config{Name: "fixed-1", Mode: vm.ModeHTM, Policy: "fixed-1"}, 1, 1))
+		isoP := p.point(datastorePoint(fmt.Sprintf("datastore iso %s/paper", wl),
+			wcfg, Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 1, 1))
+		p.cell(func(w io.Writer) error { return datastoreCauses(w, "solo fixed-1", iso1) })
+		p.cell(func(w io.Writer) error { return datastoreCauses(w, "solo paper-dynamic", isoP) })
 		p.printf("\n# Datastore per-shard GIL occupancy — YCSB-%s, paper-dynamic/s8, %d threads\n", wl, attrTh)
-		sharded := top["paper-dynamic/s8"]
-		p.cell(func(w io.Writer) error {
-			return datastoreShardTable(w, sharded.st)
-		})
+		ref, sharded := named(names, top, "paper-dynamic/s1"), named(names, top, "paper-dynamic/s8")
+		p.cell(func(w io.Writer) error { return datastoreShardTable(w, sharded) })
 		p.cell(func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "# vs paper-dynamic/s1 at %d threads: occ-adaptive/s1 %.2fx, paper-dynamic/s8 %.2fx\n",
-				attrTh,
-				top["occ-adaptive/s1"].tp/top["paper-dynamic/s1"].tp,
-				top["paper-dynamic/s8"].tp/top["paper-dynamic/s1"].tp)
+				attrTh, named(names, top, "occ-adaptive/s1").over(ref), sharded.over(ref))
 			return err
 		})
 	}
 }
-
-// DatastoreTable regenerates the datastore experiment (see buildDatastore).
-func (s *Session) DatastoreTable() error { return s.runPlan(s.buildDatastore) }
-
-// DatastoreTable regenerates the datastore experiment in a fresh Session.
-func DatastoreTable(w io.Writer, quick bool) error { return NewSession(w, quick).DatastoreTable() }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -70,8 +71,10 @@ func checkQuickDigest(t *testing.T, exp string) (txt, reports, csvOut string) {
 	return out.String(), rep.String(), cv.String()
 }
 
-// cheapExperiments finish in seconds and are checked on every run; the rest
-// take from ten seconds to a minute each and skip under -short.
+// cheapExperiments finish in seconds and are checked on every run. The rest
+// take from ten seconds to a minute each: they skip under -short, and a plain
+// `go test ./...` leaves them to CI's golden-digest step, which names the
+// test with -run.
 var cheapExperiments = map[string]bool{
 	"micro": true, "fig6a": true, "fig6b": true, "fig8": true, "fig9": true,
 	"aborts": true, "overhead": true, "ablation": true, "explore": true,
@@ -80,6 +83,7 @@ var cheapExperiments = map[string]bool{
 // TestQuickDigests checks every experiment against its committed digest,
 // except the three whose own tests do (chaos, resilience, datastore).
 func TestQuickDigests(t *testing.T) {
+	named := strings.Contains(flag.Lookup("test.run").Value.String(), "TestQuickDigests")
 	for _, exp := range Experiments() {
 		switch exp {
 		case "all", "chaos", "resilience", "datastore":
@@ -87,8 +91,8 @@ func TestQuickDigests(t *testing.T) {
 		}
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if !cheapExperiments[exp] && testing.Short() {
-				t.Skip("slow experiment; run without -short")
+			if !cheapExperiments[exp] && (testing.Short() || !named) {
+				t.Skip("slow experiment; run with -run TestQuickDigests, without -short")
 			}
 			checkQuickDigest(t, exp)
 		})

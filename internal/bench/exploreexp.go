@@ -29,7 +29,6 @@ func (s *Session) buildExplore(p *plan) {
 	p.printf("%-14s %6s %10s %10s %8s %9s %11s %6s\n",
 		"program", "bound", "gil-scheds", "htm-scheds", "oracle", "outcomes", "violations", "trunc")
 	for _, prog := range explore.Programs() {
-		prog := prog
 		p.raw("explore/"+prog.Name, func(w io.Writer) error {
 			res, err := explore.Run(explore.Config{
 				Program:      prog,
@@ -60,10 +59,6 @@ func (s *Session) buildExplore(p *plan) {
 		return err
 	})
 }
-
-// ExploreTable regenerates the schedule-exploration experiment (see
-// buildExplore).
-func (s *Session) ExploreTable() error { return s.runPlan(s.buildExplore) }
 
 // ReplaySchedule loads a schedule file, replays it byte-deterministically,
 // and verifies it reproduces what it records (its violation, or a clean run

@@ -51,26 +51,31 @@ func hybridProfile(base func() *htm.Profile, sandbox bool) *htm.Profile {
 	return p
 }
 
-// hybridAttribution renders one per-tier attribution line: hardware
-// begin/commit/abort, software begin/commit/abort plus commit-time
+// tierAttribution prints the per-tier attribution of the given runs:
+// hardware begin/commit/abort, software begin/commit/abort plus commit-time
 // validation failures, and sections that ended up under the lock.
-func hybridAttribution(w io.Writer, name string, st *vm.Stats) error {
-	var hb, hc, ha uint64
-	if st.HTM != nil {
-		hb, hc, ha = st.HTM.Begins, st.HTM.Commits, st.HTM.Aborts
-	}
-	var ob, oc, oa, ovf uint64
-	if st.OCC != nil {
-		ob, oc, oa, ovf = st.OCC.Begins, st.OCC.Commits, st.OCC.Aborts, st.OCC.ValidationFailures
-	}
-	_, err := fmt.Fprintf(w, "%-16s%10d%10d%10d%10d%10d%10d%10d%10d\n",
-		name, hb, hc, ha, ob, oc, oa, ovf, st.GILFallbacks)
-	return err
-}
-
-func hybridAttributionHeader(p *plan) {
+func tierAttribution(p *plan, names []string, runs []*run) {
 	p.printf("%-16s%10s%10s%10s%10s%10s%10s%10s%10s\n", "policy",
 		"htmBegin", "htmCommit", "htmAbort", "occBegin", "occCommit", "occAbort", "valFail", "gilFall")
+	for i, name := range names {
+		p.cell(func(w io.Writer) error { return tierAttributionLine(w, name, runs[i]) })
+	}
+}
+
+// named returns the run of the column called name.
+func named(names []string, runs []*run, name string) *run {
+	for i, n := range names {
+		if n == name {
+			return runs[i]
+		}
+	}
+	panic("bench: no column " + name)
+}
+
+func tierAttributionLine(w io.Writer, name string, r *run) error {
+	_, err := fmt.Fprintf(w, "%-16s%10d%10d%10d%10d%10d%10d%10d%10d\n", name,
+		r.Begins, r.Commits, r.Aborts, r.OCCBegins, r.OCCCommits, r.OCCAborts, r.OCCValidationFailures, r.Fallbacks)
+	return err
 }
 
 // buildHybrid enumerates the hybrid-TM experiment: throughput tables
@@ -81,53 +86,39 @@ func (s *Session) buildHybrid(p *plan) {
 	quick := s.Quick
 	class := classFor(quick)
 	cfgs := hybridConfigs()
+	names := make([]string, len(cfgs))
+	for i, hc := range cfgs {
+		names[i] = hc.name
+	}
+	// vsGIL is the summary line under each attribution table.
+	vsGIL := func(top []*run, n int, unit string) {
+		gil := named(names, top, "GIL")
+		p.cell(func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "# vs all-GIL at %d %s: occ-first %.2fx, occ-adaptive %.2fx, paper-dynamic %.2fx\n", n, unit,
+				named(names, top, "occ-first").over(gil), named(names, top, "occ-adaptive").over(gil), named(names, top, "paper-dynamic").over(gil))
+			return err
+		})
+	}
 	for _, base := range []func() *htm.Profile{htm.ZEC12, htm.XeonE3} {
 		prof := base()
 		ths := threadsFor(prof, quick)
 		maxTh := ths[len(ths)-1]
 		for _, bench := range policyKernels(quick) {
 			p.printf("\n# Hybrid TM — %s on %s (throughput, 1 = 1-thread GIL)\n", bench, prof.Name)
-			baseRun := p.kernel(fmt.Sprintf("hybrid baseline %s/%s", prof.Name, bench),
-				"hybrid", bench, prof, cfgs[0].cfg, 1, class, false)
-			p.printf("%-10s", "threads")
-			for _, hc := range cfgs {
-				p.printf("%16s", hc.name)
-			}
-			p.printf("\n")
-			top := map[string]*policyRun{}
-			for _, th := range ths {
-				p.printf("%-10d", th)
-				for _, hc := range cfgs {
-					r := p.policyKernel(fmt.Sprintf("hybrid %s/%s/%s/%d", prof.Name, bench, hc.name, th),
-						"hybrid", bench, hybridProfile(base, hc.sandbox), hc.cfg, th, class)
-					if th == maxTh {
-						top[hc.name] = r
-					}
-					p.cell(func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%16.2f", float64(baseRun.res.Cycles)/float64(r.res.Cycles))
-						return err
-					})
-				}
-				p.printf("\n")
-			}
-			p.printf("\n# Hybrid per-tier attribution — %s on %s, %d threads\n", bench, prof.Name, maxTh)
-			hybridAttributionHeader(p)
-			for _, hc := range cfgs {
-				r := top[hc.name]
-				name := hc.name
-				p.cell(func(w io.Writer) error {
-					return hybridAttribution(w, name, r.res.Stats)
-				})
-			}
-			gilTop := top["GIL"]
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "# vs all-GIL at %d threads: occ-first %.2fx, occ-adaptive %.2fx, paper-dynamic %.2fx\n",
-					maxTh,
-					float64(gilTop.res.Cycles)/float64(top["occ-first"].res.Cycles),
-					float64(gilTop.res.Cycles)/float64(top["occ-adaptive"].res.Cycles),
-					float64(gilTop.res.Cycles)/float64(top["paper-dynamic"].res.Cycles))
-				return err
+			baseRun := p.point(kernel("hybrid", fmt.Sprintf("hybrid baseline %s/%s", prof.Name, bench), prof, cfgs[0].cfg, bench, class, 1))
+			rows := p.sweep(sweep{
+				xName: "threads", xs: ths, xw: 10,
+				cols: names, cw: 16,
+				point: func(th, c int) *run {
+					return p.point(tracedKernel("hybrid", fmt.Sprintf("hybrid %s/%s/%s/%d", prof.Name, bench, names[c], th),
+						hybridProfile(base, cfgs[c].sandbox), cfgs[c].cfg, bench, class, th))
+				},
+				cell: func(r *run, _ int) string { return f2(r.over(baseRun)) },
 			})
+			top := rows[len(rows)-1]
+			p.printf("\n# Hybrid per-tier attribution — %s on %s, %d threads\n", bench, prof.Name, maxTh)
+			tierAttribution(p, names, top)
+			vsGIL(top, maxTh, "threads")
 		}
 	}
 	// WEBrick on zEC12 (z/OS malloc shadowing, like the policy sweep).
@@ -139,50 +130,20 @@ func (s *Session) buildHybrid(p *plan) {
 	}
 	maxCl := clientsList[len(clientsList)-1]
 	p.printf("\n# Hybrid TM — webrick on zEC12 (throughput, 1 = 1-client GIL)\n")
-	baseSrv := p.server("hybrid webrick baseline", "hybrid", "webrick", htm.ZEC12(), cfgs[0].cfg, 1, requests, true)
-	p.printf("%-10s", "clients")
-	for _, hc := range cfgs {
-		p.printf("%16s", hc.name)
-	}
-	p.printf("\n")
-	topSrv := map[string]*policyServerRun{}
-	for _, cl := range clientsList {
-		p.printf("%-10d", cl)
-		for _, hc := range cfgs {
-			r := p.policyServer(fmt.Sprintf("hybrid webrick/%s/%d", hc.name, cl),
-				"hybrid", hybridProfile(htm.ZEC12, hc.sandbox), hc.cfg, cl, requests, true)
-			if cl == maxCl {
-				topSrv[hc.name] = r
-			}
-			p.cell(func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "%16.2f", r.tp/baseSrv.tp)
-				return err
-			})
-		}
-		p.printf("\n")
-	}
-	p.printf("\n# Hybrid per-tier attribution — webrick on zEC12, %d clients\n", maxCl)
-	hybridAttributionHeader(p)
-	for _, hc := range cfgs {
-		r := topSrv[hc.name]
-		name := hc.name
-		p.cell(func(w io.Writer) error {
-			return hybridAttribution(w, name, r.st)
-		})
-	}
-	gilSrv := topSrv["GIL"]
-	p.cell(func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "# vs all-GIL at %d clients: occ-first %.2fx, occ-adaptive %.2fx, paper-dynamic %.2fx\n",
-			maxCl,
-			topSrv["occ-first"].tp/gilSrv.tp,
-			topSrv["occ-adaptive"].tp/gilSrv.tp,
-			topSrv["paper-dynamic"].tp/gilSrv.tp)
-		return err
+	baseSrv := p.point(server("hybrid", "hybrid webrick baseline", htm.ZEC12(), cfgs[0].cfg, "webrick", 1, requests, true))
+	rows := p.sweep(sweep{
+		xName: "clients", xs: clientsList, xw: 10,
+		cols: names, cw: 16,
+		point: func(cl, c int) *run {
+			sp := server("hybrid", fmt.Sprintf("hybrid webrick/%s/%d", names[c], cl),
+				hybridProfile(htm.ZEC12, cfgs[c].sandbox), cfgs[c].cfg, "webrick", cl, requests, true)
+			sp.trace = true
+			return p.point(sp)
+		},
+		cell: func(r *run, _ int) string { return f2(r.over(baseSrv)) },
 	})
+	top := rows[len(rows)-1]
+	p.printf("\n# Hybrid per-tier attribution — webrick on zEC12, %d clients\n", maxCl)
+	tierAttribution(p, names, top)
+	vsGIL(top, maxCl, "clients")
 }
-
-// HybridTable regenerates the hybrid-TM experiment (see buildHybrid).
-func (s *Session) HybridTable() error { return s.runPlan(s.buildHybrid) }
-
-// HybridTable regenerates the hybrid-TM experiment in a fresh Session.
-func HybridTable(w io.Writer, quick bool) error { return NewSession(w, quick).HybridTable() }

@@ -54,21 +54,22 @@ func TestHybridAttributionLine(t *testing.T) {
 		OCC:          &occ.Stats{Begins: 5, Commits: 4, Aborts: 1, ValidationFailures: 1},
 		GILFallbacks: 3,
 	}
-	if err := hybridAttribution(&buf, "occ-adaptive", st); err != nil {
-		t.Fatal(err)
+	line := func(name string, st *vm.Stats) string {
+		buf.Reset()
+		r := &run{Report: newReport("hybrid", "m", "w", name, 1, 0, 1, 0, st, nil, 5)}
+		if err := tierAttributionLine(&buf, name, r); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	line := buf.String()
+	got := line("occ-adaptive", st)
 	for _, want := range []string{"occ-adaptive", "10", "8", "2", "5", "4", "1", "3"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("attribution line %q missing %q", line, want)
+		if !strings.Contains(got, want) {
+			t.Errorf("attribution line %q missing %q", got, want)
 		}
 	}
 	// Tiers the runtime never used render as zeros, not a crash.
-	buf.Reset()
-	if err := hybridAttribution(&buf, "GIL", &vm.Stats{GILFallbacks: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "7") {
-		t.Errorf("GIL-only line = %q", buf.String())
+	if got := line("GIL", &vm.Stats{GILFallbacks: 7}); !strings.Contains(got, "7") {
+		t.Errorf("GIL-only line = %q", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func runMicroWith(t *testing.T, parallel int) (table, reports, digest string) {
 	s := NewSession(&tb, true)
 	s.TraceSummary = true
 	s.Parallel = parallel
-	if err := s.MicroTable(); err != nil {
+	if err := s.Run("micro"); err != nil {
 		t.Fatal(err)
 	}
 	var rep strings.Builder
@@ -59,7 +60,7 @@ func TestParallelDeterminism(t *testing.T) {
 func TestParallelFirstErrorWins(t *testing.T) {
 	s := NewSession(nil, true)
 	s.Parallel = 8
-	p := s.newPlan()
+	p := &plan{s: s}
 	for i := 0; i < 20; i++ {
 		fail := i == 7 || i == 13
 		p.raw(fmt.Sprintf("pt%02d", i), func(io.Writer) error {
@@ -81,10 +82,30 @@ func BenchmarkQuickFig5Point(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := NewSession(io.Discard, true)
-		p := s.newPlan()
-		p.kernel("bench point", "bench", npb.BT, htm.ZEC12(), Configs()[4], 4, npb.ClassS, false)
+		p := &plan{s: s}
+		p.point(kernel("bench", "bench point", htm.ZEC12(), Configs()[4], npb.BT, npb.ClassS, 4))
 		if err := p.flush(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestFinishedPointsDoNotPinTheirVMs: a plan keeps the record of every
+// finished point until it has rendered; the records must hold values only.
+// A record that reaches its VM costs ~35 MB, and quick fig6b has 16 points.
+func TestFinishedPointsDoNotPinTheirVMs(t *testing.T) {
+	s := NewSession(io.Discard, true)
+	s.Parallel = 1
+	p := &plan{s: s}
+	s.buildFig6b(p)
+	if err := p.flush(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	if m.HeapAlloc > 100<<20 {
+		t.Errorf("heap after %d finished points = %d MB, want < 100 MB", len(p.pts), m.HeapAlloc>>20)
+	}
+	runtime.KeepAlive(p)
 }

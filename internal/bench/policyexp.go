@@ -3,14 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"htmgil/internal/htm"
 	"htmgil/internal/npb"
 	"htmgil/internal/policy"
-	"htmgil/internal/trace"
 	"htmgil/internal/vm"
-	"htmgil/internal/webrick"
 )
 
 // The policy experiment sweeps every registered contention-management
@@ -20,6 +17,17 @@ import (
 // experiments, every point always attaches a trace aggregator: the
 // attribution tables break the abort causes and GIL-fallback reasons down
 // per policy, which is the whole point of comparing them.
+
+// tracedKernel is the spec of a validated NPB point of the policy or hybrid
+// experiment. Unlike the paper's figures it always attaches a trace
+// aggregator, so the attribution tables work without the Session's
+// TraceSummary switch.
+func tracedKernel(exp, label string, prof *htm.Profile, cfg Config, b npb.Bench, c npb.Class, threads int) pointSpec {
+	sp := kernel(exp, label, prof, cfg, b, c, threads)
+	sp.kernel.checkValid = true
+	sp.trace = true
+	return sp
+}
 
 // PolicyConfigs returns one ModeHTM configuration per registered
 // contention-management policy, in registry order.
@@ -32,113 +40,27 @@ func PolicyConfigs() []Config {
 	return out
 }
 
-// policyRun is the handle to a policy-experiment kernel point: the kernel
-// result plus the always-attached aggregator for fallback attribution.
-type policyRun struct {
-	res *npb.Result
-	agg *trace.Aggregator
-}
-
-// policyKernel enumerates one NPB point of the policy or hybrid
-// experiment. It differs from plan.kernel in always attaching a trace
-// aggregator, so the attribution tables work without the Session's
-// TraceSummary switch.
-func (p *plan) policyKernel(label, exp string, b npb.Bench, prof *htm.Profile, cfg Config, threads int, c npb.Class) *policyRun {
-	pr := &policyRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		agg := trace.NewAggregator()
-		opt := vm.DefaultOptions(prof, cfg.Mode)
-		opt.TxLength = cfg.TxLength
-		opt.Policy = cfg.Policy
-		opt.Trace = trace.NewRecorder(agg)
-		r, err := npb.Run(b, opt, threads, npb.ParamsFor(b, c))
-		if err != nil {
-			return err
-		}
-		if !r.Valid {
-			return errValidation
-		}
-		pr.res, pr.agg = r, agg
-		pt.rep = newReport(exp, prof.Name, string(b), cfg.Name, threads, 0, r.Cycles, 0, r.Stats, agg, s.topN())
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return pr
-}
-
-// policyServerRun is the handle to a policy-experiment WEBrick point.
-type policyServerRun struct {
-	tp, ab float64
-	st     *vm.Stats
-	agg    *trace.Aggregator
-}
-
-// policyServer enumerates one WEBrick point of the policy or hybrid
-// experiment.
-func (p *plan) policyServer(label, exp string, prof *htm.Profile, cfg Config, clients, requests int, zos bool) *policyServerRun {
-	pr := &policyServerRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		agg := trace.NewAggregator()
-		r, err := webrick.Run(webrick.Config{Prof: prof, Mode: cfg.Mode, TxLength: cfg.TxLength,
-			Policy: cfg.Policy, Clients: clients, Requests: requests, ZOSMalloc: zos,
-			Trace: trace.NewRecorder(agg)})
-		if err != nil {
-			return err
-		}
-		pr.tp, pr.ab, pr.st, pr.agg = r.Throughput, r.AbortRatio, r.Stats, agg
-		pt.rep = newReport(exp, prof.Name, "webrick", cfg.Name, 0, clients, r.Cycles, r.Throughput, r.Stats, agg, s.topN())
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return pr
-}
-
 // attribution renders one per-policy attribution line: abort ratio,
 // fallback and adjustment counts, then the sorted abort causes and the
 // sorted GIL-fallback reasons observed by the trace aggregator.
-func attribution(w io.Writer, name string, st *vm.Stats, agg *trace.Aggregator) error {
-	fallbacks, adjusts := uint64(0), uint64(0)
-	if st != nil {
-		fallbacks, adjusts = st.GILFallbacks, st.Adjustments
-	}
-	fmt.Fprintf(w, "%-18s%9.1f%%%12d%12d  ", name, st.AbortRatio()*100, fallbacks, adjusts)
-	var parts []string
-	for c, n := range st.AbortCauses {
-		parts = append(parts, fmt.Sprintf("%s=%d", c, n))
-	}
-	sort.Strings(parts)
-	for i, s := range parts {
-		if i > 0 {
-			fmt.Fprint(w, " ")
+func attribution(w io.Writer, name string, r *run) error {
+	orDash := func(items string) string {
+		if items == "" {
+			return "-"
 		}
-		fmt.Fprint(w, s)
+		return items[1:] // sortedCounts leads every item with a space
 	}
-	if len(parts) == 0 {
-		fmt.Fprint(w, "-")
-	}
-	fmt.Fprint(w, " | ")
-	parts = parts[:0]
-	for reason, n := range agg.FallbackReasons {
-		parts = append(parts, fmt.Sprintf("%s=%d", reason, n))
-	}
-	sort.Strings(parts)
-	for i, s := range parts {
-		if i > 0 {
-			fmt.Fprint(w, " ")
-		}
-		fmt.Fprint(w, s)
-	}
-	if len(parts) == 0 {
-		fmt.Fprint(w, "-")
-	}
-	_, err := fmt.Fprintln(w)
+	_, err := fmt.Fprintf(w, "%-18s%9.1f%%%12d%12d  %s | %s\n", name, r.AbortRatio*100, r.Fallbacks, r.Adjustments,
+		orDash(sortedCounts(r.AbortCauses, false)), orDash(sortedCounts(r.FallbackWhy, false)))
 	return err
+}
+
+// attributionTable prints the per-policy attribution of one sweep row.
+func attributionTable(p *plan, pols []Config, row []*run) {
+	p.printf("%-18s%10s%12s%12s  %s\n", "policy", "abort%", "fallbacks", "adjusts", "causes | fallback reasons")
+	for i, pc := range pols {
+		p.cell(func(w io.Writer) error { return attribution(w, pc.Name, row[i]) })
+	}
 }
 
 // policyKernels returns the NPB kernels the policy experiment sweeps.
@@ -159,43 +81,22 @@ func (s *Session) buildPolicy(p *plan) {
 	quick := s.Quick
 	class := classFor(quick)
 	pols := PolicyConfigs()
+	gil := Configs()[0]
 	for _, prof := range []*htm.Profile{htm.ZEC12(), htm.XeonE3()} {
 		ths := threadsFor(prof, quick)
-		maxTh := ths[len(ths)-1]
 		for _, bench := range policyKernels(quick) {
 			p.printf("\n# Policy comparison — %s on %s (throughput, 1 = 1-thread GIL)\n", bench, prof.Name)
-			base := p.kernel(fmt.Sprintf("policy baseline %s", bench),
-				"policy", bench, prof, Configs()[0], 1, class, false)
-			p.printf("%-10s", "threads")
-			for _, pc := range pols {
-				p.printf("%18s", pc.Name)
-			}
-			p.printf("\n")
-			top := map[string]*policyRun{}
-			for _, th := range ths {
-				p.printf("%-10d", th)
-				for _, pc := range pols {
-					r := p.policyKernel(fmt.Sprintf("policy %s/%s/%d", bench, pc.Name, th),
-						"policy", bench, prof, pc, th, class)
-					if th == maxTh {
-						top[pc.Name] = r
-					}
-					p.cell(func(w io.Writer) error {
-						_, err := fmt.Fprintf(w, "%18.2f", float64(base.res.Cycles)/float64(r.res.Cycles))
-						return err
-					})
-				}
-				p.printf("\n")
-			}
-			p.printf("\n# Policy abort attribution — %s on %s, %d threads\n", bench, prof.Name, maxTh)
-			p.printf("%-18s%10s%12s%12s  %s\n", "policy", "abort%", "fallbacks", "adjusts", "causes | fallback reasons")
-			for _, pc := range pols {
-				r := top[pc.Name]
-				name := pc.Name
-				p.cell(func(w io.Writer) error {
-					return attribution(w, name, r.res.Stats, r.agg)
-				})
-			}
+			base := p.point(kernel("policy", fmt.Sprintf("policy baseline %s", bench), prof, gil, bench, class, 1))
+			rows := p.sweep(sweep{
+				xName: "threads", xs: ths, xw: 10,
+				cols: configNames(pols), cw: 18,
+				point: func(th, c int) *run {
+					return p.point(tracedKernel("policy", fmt.Sprintf("policy %s/%s/%d", bench, pols[c].Name, th), prof, pols[c], bench, class, th))
+				},
+				cell: func(r *run, _ int) string { return f2(r.over(base)) },
+			})
+			p.printf("\n# Policy abort attribution — %s on %s, %d threads\n", bench, prof.Name, ths[len(ths)-1])
+			attributionTable(p, pols, rows[len(rows)-1])
 		}
 	}
 	// WEBrick: the server workload the paper used on both machines. Requests
@@ -211,45 +112,19 @@ func (s *Session) buildPolicy(p *plan) {
 		zos  bool
 	}{{htm.ZEC12(), true}, {htm.XeonE3(), false}} {
 		prof := a.prof
-		maxCl := clientsList[len(clientsList)-1]
 		p.printf("\n# Policy comparison — webrick on %s (throughput, 1 = 1-client GIL)\n", prof.Name)
-		base := p.server(fmt.Sprintf("policy webrick baseline %s", prof.Name),
-			"policy", "webrick", prof, Configs()[0], 1, requests, a.zos)
-		p.printf("%-10s", "clients")
-		for _, pc := range pols {
-			p.printf("%18s", pc.Name)
-		}
-		p.printf("\n")
-		top := map[string]*policyServerRun{}
-		for _, cl := range clientsList {
-			p.printf("%-10d", cl)
-			for _, pc := range pols {
-				r := p.policyServer(fmt.Sprintf("policy webrick/%s/%s/%d", prof.Name, pc.Name, cl),
-					"policy", prof, pc, cl, requests, a.zos)
-				if cl == maxCl {
-					top[pc.Name] = r
-				}
-				p.cell(func(w io.Writer) error {
-					_, err := fmt.Fprintf(w, "%18.2f", r.tp/base.tp)
-					return err
-				})
-			}
-			p.printf("\n")
-		}
-		p.printf("\n# Policy abort attribution — webrick on %s, %d clients\n", prof.Name, maxCl)
-		p.printf("%-18s%10s%12s%12s  %s\n", "policy", "abort%", "fallbacks", "adjusts", "causes | fallback reasons")
-		for _, pc := range pols {
-			r := top[pc.Name]
-			name := pc.Name
-			p.cell(func(w io.Writer) error {
-				return attribution(w, name, r.st, r.agg)
-			})
-		}
+		base := p.point(server("policy", fmt.Sprintf("policy webrick baseline %s", prof.Name), prof, gil, "webrick", 1, requests, a.zos))
+		rows := p.sweep(sweep{
+			xName: "clients", xs: clientsList, xw: 10,
+			cols: configNames(pols), cw: 18,
+			point: func(cl, c int) *run {
+				sp := server("policy", fmt.Sprintf("policy webrick/%s/%s/%d", prof.Name, pols[c].Name, cl), prof, pols[c], "webrick", cl, requests, a.zos)
+				sp.trace = true
+				return p.point(sp)
+			},
+			cell: func(r *run, _ int) string { return f2(r.over(base)) },
+		})
+		p.printf("\n# Policy abort attribution — webrick on %s, %d clients\n", prof.Name, clientsList[len(clientsList)-1])
+		attributionTable(p, pols, rows[len(rows)-1])
 	}
 }
-
-// PolicyTable regenerates the policy-comparison experiment (see buildPolicy).
-func (s *Session) PolicyTable() error { return s.runPlan(s.buildPolicy) }
-
-// PolicyTable regenerates the policy comparison in a fresh Session.
-func PolicyTable(w io.Writer, quick bool) error { return NewSession(w, quick).PolicyTable() }

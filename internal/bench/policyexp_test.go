@@ -21,7 +21,7 @@ func TestPolicyConfigsMirrorRegistry(t *testing.T) {
 		if cfgs[i].Name != n || cfgs[i].Policy != n {
 			t.Fatalf("config %d = %+v, want name/policy %q", i, cfgs[i], n)
 		}
-		if cfgs[i].Mode != vm.ModeHTM || cfgs[i].TxLength != 0 {
+		if cfgs[i].Mode != vm.ModeHTM {
 			t.Fatalf("config %d not plain HTM: %+v", i, cfgs[i])
 		}
 	}
@@ -41,7 +41,7 @@ func TestExperimentsListsPolicy(t *testing.T) {
 	if !found {
 		t.Fatalf("policy missing from %v", exps)
 	}
-	if err := ByName("nosuch", nil, true); err == nil ||
+	if err := NewSession(nil, true).Run("nosuch"); err == nil ||
 		!strings.Contains(err.Error(), "policy") {
 		t.Fatalf("unknown-experiment error should list policy: %v", err)
 	}
@@ -53,20 +53,21 @@ func TestExperimentsListsPolicy(t *testing.T) {
 // recorder (tracing must stay a pure observer).
 func TestPolicyPaperDynamicMatchesFig5HTMDynamic(t *testing.T) {
 	s := NewSession(nil, true)
-	p := s.newPlan()
+	p := &plan{s: s}
 	prof := htm.ZEC12()
-	fig5 := p.kernel("fig5 point", "fig5", npb.CG, prof, Configs()[4], 4, npb.ClassS, true)
-	pol := p.policyKernel("policy point", "policy", npb.CG, prof,
-		Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, 4, npb.ClassS)
+	sp := kernel("fig5", "fig5 point", prof, Configs()[4], npb.CG, npb.ClassS, 4)
+	sp.kernel.checkValid = true
+	a := p.point(sp)
+	b := p.point(tracedKernel("policy", "policy point", prof,
+		Config{Name: "paper-dynamic", Mode: vm.ModeHTM, Policy: "paper-dynamic"}, npb.CG, npb.ClassS, 4))
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}
-	a, b := fig5.res, pol.res
-	if a.Cycles != b.Cycles || a.Checksum != b.Checksum || a.Valid != b.Valid {
+	if a.Cycles != b.Cycles || a.checksum != b.checksum || a.valid != b.valid {
 		t.Fatalf("diverged: fig5 cycles=%d sum=%s, policy cycles=%d sum=%s",
-			a.Cycles, a.Checksum, b.Cycles, b.Checksum)
+			a.Cycles, a.checksum, b.Cycles, b.checksum)
 	}
-	as, bs := a.Stats, b.Stats
+	as, bs := a.stats, b.stats
 	if as.HTM.Begins != bs.HTM.Begins || as.HTM.Commits != bs.HTM.Commits ||
 		as.HTM.Aborts != bs.HTM.Aborts || as.GILFallbacks != bs.GILFallbacks ||
 		as.Adjustments != bs.Adjustments {
@@ -75,16 +76,19 @@ func TestPolicyPaperDynamicMatchesFig5HTMDynamic(t *testing.T) {
 	if !reflect.DeepEqual(as.AbortCauses, bs.AbortCauses) {
 		t.Fatalf("abort causes diverged: %v vs %v", as.AbortCauses, bs.AbortCauses)
 	}
-	if pol.agg == nil {
-		t.Fatal("policy point must carry an aggregator")
+	if len(b.TopAbortPCs) == 0 {
+		t.Fatal("policy point must carry an aggregator's attribution")
+	}
+	if len(a.TopAbortPCs) != 0 {
+		t.Fatal("fig5 point traced without being asked")
 	}
 }
 
 func TestWriteReportsCSV(t *testing.T) {
 	s := NewSession(nil, true)
-	p := s.newPlan()
-	p.policyKernel("pt", "policy", npb.CG, htm.ZEC12(),
-		Config{Name: "fixed-16", Mode: vm.ModeHTM, Policy: "fixed-16"}, 2, npb.ClassS)
+	p := &plan{s: s}
+	p.point(tracedKernel("policy", "pt", htm.ZEC12(),
+		Config{Name: "fixed-16", Mode: vm.ModeHTM, Policy: "fixed-16"}, npb.CG, npb.ClassS, 2))
 	if err := p.flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -112,55 +112,47 @@ type RouteLatency struct {
 func newReport(exp, machine, workload, config string, threads, clients int,
 	cycles int64, throughput float64, st *vm.Stats, agg *trace.Aggregator, topN int) Report {
 	r := Report{
-		Experiment: exp,
-		Machine:    machine,
-		Workload:   workload,
-		Config:     config,
-		Threads:    threads,
-		Clients:    clients,
-		Cycles:     cycles,
-		Throughput: throughput,
+		Experiment:   exp,
+		Machine:      machine,
+		Workload:     workload,
+		Config:       config,
+		Threads:      threads,
+		Clients:      clients,
+		Cycles:       cycles,
+		Throughput:   throughput,
+		AbortRatio:   st.AbortRatio(),
+		Fallbacks:    st.GILFallbacks,
+		Adjustments:  st.Adjustments,
+		GCs:          st.GCs,
+		FaultCounts:  st.FaultCounts,
+		Degradations: st.Degradations,
+		BreakerOpens: st.BreakerOpens,
 	}
-	if st != nil {
-		r.AbortRatio = st.AbortRatio()
-		r.Fallbacks = st.GILFallbacks
-		r.Adjustments = st.Adjustments
-		r.GCs = st.GCs
-		if st.HTM != nil {
-			r.Begins = st.HTM.Begins
-			r.Commits = st.HTM.Commits
-			r.Aborts = st.HTM.Aborts
+	if st.HTM != nil {
+		r.Begins = st.HTM.Begins
+		r.Commits = st.HTM.Commits
+		r.Aborts = st.HTM.Aborts
+	}
+	if st.OCC != nil {
+		r.OCCBegins = st.OCC.Begins
+		r.OCCCommits = st.OCC.Commits
+		r.OCCAborts = st.OCC.Aborts
+		r.OCCValidationFailures = st.OCC.ValidationFailures
+	}
+	if len(st.AbortCauses) > 0 {
+		r.AbortCauses = make(map[string]uint64, len(st.AbortCauses))
+		for c, n := range st.AbortCauses {
+			r.AbortCauses[c.String()] = n
 		}
-		if st.OCC != nil {
-			r.OCCBegins = st.OCC.Begins
-			r.OCCCommits = st.OCC.Commits
-			r.OCCAborts = st.OCC.Aborts
-			r.OCCValidationFailures = st.OCC.ValidationFailures
-		}
-		if len(st.AbortCauses) > 0 {
-			r.AbortCauses = make(map[string]uint64, len(st.AbortCauses))
-			for c, n := range st.AbortCauses {
-				r.AbortCauses[c.String()] = n
-			}
-		}
-		if len(st.ConflictRegions) > 0 {
-			r.ConflictRegions = make(map[string]uint64, len(st.ConflictRegions))
-			for reg, n := range st.ConflictRegions {
-				r.ConflictRegions[reg] = n
-			}
-		}
-		if len(st.ConflictWriterRegions) > 0 {
-			r.ConflictWriterRegions = make(map[string]uint64, len(st.ConflictWriterRegions))
-			for reg, n := range st.ConflictWriterRegions {
-				r.ConflictWriterRegions[reg] = n
-			}
-		}
-		r.FaultCounts = st.FaultCounts
-		r.Degradations = st.Degradations
-		r.BreakerOpens = st.BreakerOpens
-		if len(st.BreakerTransitions) > 0 {
-			r.BreakerTransitions = st.BreakerTransitions
-		}
+	}
+	if len(st.ConflictRegions) > 0 {
+		r.ConflictRegions = st.ConflictRegions
+	}
+	if len(st.ConflictWriterRegions) > 0 {
+		r.ConflictWriterRegions = st.ConflictWriterRegions
+	}
+	if len(st.BreakerTransitions) > 0 {
+		r.BreakerTransitions = st.BreakerTransitions
 	}
 	if agg != nil {
 		r.TopAbortPCs = agg.TopAbortPCs(topN)
@@ -181,74 +173,105 @@ func (s *Session) WriteReports(w io.Writer) error {
 	return enc.Encode(s.Reports)
 }
 
+// csvColumns is the flat CSV view of a Report: the scalar columns of the
+// JSON reports, each name next to the expression that fills it.
+var csvColumns = []struct {
+	name string
+	get  func(r *Report) string
+}{
+	{"experiment", func(r *Report) string { return r.Experiment }},
+	{"machine", func(r *Report) string { return r.Machine }},
+	{"workload", func(r *Report) string { return r.Workload }},
+	{"config", func(r *Report) string { return r.Config }},
+	{"threads", func(r *Report) string { return strconv.Itoa(r.Threads) }},
+	{"clients", func(r *Report) string { return strconv.Itoa(r.Clients) }},
+	{"cycles", func(r *Report) string { return strconv.FormatInt(r.Cycles, 10) }},
+	{"throughput", func(r *Report) string { return ftoa(r.Throughput) }},
+	{"abortRatio", func(r *Report) string { return ftoa(r.AbortRatio) }},
+	{"txBegins", func(r *Report) string { return utoa(r.Begins) }},
+	{"txCommits", func(r *Report) string { return utoa(r.Commits) }},
+	{"txAborts", func(r *Report) string { return utoa(r.Aborts) }},
+	{"gilFallbacks", func(r *Report) string { return utoa(r.Fallbacks) }},
+	{"lengthAdjustments", func(r *Report) string { return utoa(r.Adjustments) }},
+	{"gcs", func(r *Report) string { return utoa(r.GCs) }},
+	{"occBegins", func(r *Report) string { return utoa(r.OCCBegins) }},
+	{"occCommits", func(r *Report) string { return utoa(r.OCCCommits) }},
+	{"occAborts", func(r *Report) string { return utoa(r.OCCAborts) }},
+	{"occValidationFailures", func(r *Report) string { return utoa(r.OCCValidationFailures) }},
+	{"faultSpec", func(r *Report) string { return r.FaultSpec }},
+	{"seed", func(r *Report) string {
+		if r.FaultSpec == "" {
+			return ""
+		}
+		return strconv.FormatInt(r.Seed, 10)
+	}},
+	{"faultsInjected", func(r *Report) string { return utoa(sumCounts(r.FaultCounts)) }},
+	{"breakerOpens", func(r *Report) string { return utoa(r.BreakerOpens) }},
+	{"recoverCycles", func(r *Report) string {
+		if r.RecoverCycles == nil {
+			return ""
+		}
+		return strconv.FormatInt(*r.RecoverCycles, 10)
+	}},
+	{"cores", func(r *Report) string { return strconv.Itoa(r.Cores) }},
+	{"workers", func(r *Report) string { return strconv.Itoa(r.Workers) }},
+	{"sessions", func(r *Report) string { return strconv.Itoa(r.Sessions) }},
+	{"ratePerSec", func(r *Report) string { return ftoa(r.RatePerSec) }},
+	{"arrivals", func(r *Report) string { return strconv.Itoa(r.Arrivals) }},
+	{"connsTotal", func(r *Report) string { return strconv.Itoa(r.ConnsTotal) }},
+	{"connsPeak", func(r *Report) string { return strconv.Itoa(r.ConnsPeak) }},
+	{"p50", latencyColumn(func(l *LatencySummary) string { return strconv.FormatInt(l.P50, 10) })},
+	{"p99", latencyColumn(func(l *LatencySummary) string { return strconv.FormatInt(l.P99, 10) })},
+	{"p999", latencyColumn(func(l *LatencySummary) string { return strconv.FormatInt(l.P999, 10) })},
+	{"latMax", latencyColumn(func(l *LatencySummary) string { return strconv.FormatInt(l.Max, 10) })},
+	{"sloAttainment", latencyColumn(func(l *LatencySummary) string { return ftoa(l.Attainment) })},
+	{"shed", func(r *Report) string { return strconv.Itoa(r.Shed) }},
+	{"gaveUp", func(r *Report) string { return strconv.Itoa(r.GaveUp) }},
+	{"deadlineExceeded", func(r *Report) string { return strconv.Itoa(r.DeadlineExceeded) }},
+	{"shards", func(r *Report) string { return strconv.Itoa(r.Shards) }},
+	{"shardFallbacks", func(r *Report) string { return utoa(r.ShardFallbacks) }},
+	{"crossShardLeaks", func(r *Report) string { return utoa(r.CrossShardLeaks) }},
+}
+
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func utoa(v uint64) string  { return strconv.FormatUint(v, 10) }
+
+// latencyColumn is a column of the latency digest, empty for points that
+// measured none.
+func latencyColumn(get func(*LatencySummary) string) func(*Report) string {
+	return func(r *Report) string {
+		if r.Latency == nil {
+			return ""
+		}
+		return get(r.Latency)
+	}
+}
+
+func sumCounts(m map[string]uint64) uint64 {
+	var t uint64
+	for _, n := range m {
+		t += n
+	}
+	return t
+}
+
 // WriteReportsCSV emits the accumulated Reports as one flat CSV row per
-// configuration point: the scalar columns of the JSON reports, for
-// spreadsheet/plotting pipelines that don't want to parse JSON.
+// configuration point (see csvColumns), for spreadsheet/plotting pipelines
+// that don't want to parse JSON.
 func (s *Session) WriteReportsCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"experiment", "machine", "workload", "config", "threads", "clients",
-		"cycles", "throughput", "abortRatio",
-		"txBegins", "txCommits", "txAborts", "gilFallbacks", "lengthAdjustments", "gcs",
-		"occBegins", "occCommits", "occAborts", "occValidationFailures",
-		"faultSpec", "seed", "faultsInjected", "breakerOpens", "recoverCycles",
-		"cores", "workers", "sessions", "ratePerSec", "arrivals", "connsTotal", "connsPeak",
-		"p50", "p99", "p999", "latMax", "sloAttainment",
-		"shed", "gaveUp", "deadlineExceeded",
-		"shards", "shardFallbacks", "crossShardLeaks",
-	}); err != nil {
+	row := make([]string, len(csvColumns))
+	for i, c := range csvColumns {
+		row[i] = c.name
+	}
+	if err := cw.Write(row); err != nil {
 		return err
 	}
 	for i := range s.Reports {
-		r := &s.Reports[i]
-		var faults uint64
-		for _, n := range r.FaultCounts {
-			faults += n
+		for j, c := range csvColumns {
+			row[j] = c.get(&s.Reports[i])
 		}
-		seed, recover := "", ""
-		if r.FaultSpec != "" {
-			seed = strconv.FormatInt(r.Seed, 10)
-		}
-		if r.RecoverCycles != nil {
-			recover = strconv.FormatInt(*r.RecoverCycles, 10)
-		}
-		p50, p99, p999, latMax, slo := "", "", "", "", ""
-		if r.Latency != nil {
-			p50 = strconv.FormatInt(r.Latency.P50, 10)
-			p99 = strconv.FormatInt(r.Latency.P99, 10)
-			p999 = strconv.FormatInt(r.Latency.P999, 10)
-			latMax = strconv.FormatInt(r.Latency.Max, 10)
-			slo = strconv.FormatFloat(r.Latency.Attainment, 'g', -1, 64)
-		}
-		if err := cw.Write([]string{
-			r.Experiment, r.Machine, r.Workload, r.Config,
-			strconv.Itoa(r.Threads), strconv.Itoa(r.Clients),
-			strconv.FormatInt(r.Cycles, 10),
-			strconv.FormatFloat(r.Throughput, 'g', -1, 64),
-			strconv.FormatFloat(r.AbortRatio, 'g', -1, 64),
-			strconv.FormatUint(r.Begins, 10),
-			strconv.FormatUint(r.Commits, 10),
-			strconv.FormatUint(r.Aborts, 10),
-			strconv.FormatUint(r.Fallbacks, 10),
-			strconv.FormatUint(r.Adjustments, 10),
-			strconv.FormatUint(r.GCs, 10),
-			strconv.FormatUint(r.OCCBegins, 10),
-			strconv.FormatUint(r.OCCCommits, 10),
-			strconv.FormatUint(r.OCCAborts, 10),
-			strconv.FormatUint(r.OCCValidationFailures, 10),
-			r.FaultSpec, seed,
-			strconv.FormatUint(faults, 10),
-			strconv.FormatUint(r.BreakerOpens, 10),
-			recover,
-			strconv.Itoa(r.Cores), strconv.Itoa(r.Workers), strconv.Itoa(r.Sessions),
-			strconv.FormatFloat(r.RatePerSec, 'g', -1, 64),
-			strconv.Itoa(r.Arrivals), strconv.Itoa(r.ConnsTotal), strconv.Itoa(r.ConnsPeak),
-			p50, p99, p999, latMax, slo,
-			strconv.Itoa(r.Shed), strconv.Itoa(r.GaveUp), strconv.Itoa(r.DeadlineExceeded),
-			strconv.Itoa(r.Shards),
-			strconv.FormatUint(r.ShardFallbacks, 10),
-			strconv.FormatUint(r.CrossShardLeaks, 10),
-		}); err != nil {
+		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}

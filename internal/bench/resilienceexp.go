@@ -3,14 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strconv"
 
-	"htmgil/internal/fault"
 	"htmgil/internal/htm"
 	"htmgil/internal/netsim"
 	"htmgil/internal/resilience"
 	"htmgil/internal/vm"
-	"htmgil/internal/webrick"
 )
 
 // The resilience experiment stages a metastable failure and measures which
@@ -107,109 +104,21 @@ func resilienceRoutes(deadlines bool) []netsim.OpenRoute {
 	return routes
 }
 
-// resilienceRun is the handle to one point of the ladder.
-type resilienceRun struct {
-	gen     *netsim.OpenLoadGen
-	res     *resilience.Server
-	ab      float64
-	agg     LatencySummary
-	routes  []RouteLatency
-	recover int64
-}
-
-// resiliencePoint enumerates one protection config under the metastable
-// scenario: baseRate at loadMult 1, pulsed by pulseMult over [pulseStart,
-// pulseEnd) with a co-timed reset burst, horizon cycles total.
-func (p *plan) resiliencePoint(label string, prof *htm.Profile, row resilienceRow,
-	baseRate float64, sessions int, horizon, pulseStart, pulseEnd int64, pulseMult float64) *resilienceRun {
-	rr := &resilienceRun{}
-	pt := &point{label: label}
-	s := p.s
-	pt.exec = func() error {
-		specText := fmt.Sprintf("connreset=0.3,from=%d,until=%d", pulseStart, pulseEnd)
-		spec, err := fault.ParseSpec(specText)
-		if err != nil {
-			return err
-		}
-		agg, rec := s.attach()
-		routes := resilienceRoutes(row.res != nil && row.res.Deadlines)
-		tracker := &resilience.RecoveryTracker{}
-		gen := &netsim.OpenLoadGen{
-			Seed: 7,
-			Arrivals: netsim.ArrivalOpts{
-				Kind:       netsim.ArrivalPoisson,
-				RatePerSec: baseRate,
-				Horizon:    horizon,
-				PulseStart: pulseStart,
-				PulseEnd:   pulseEnd,
-				PulseMult:  pulseMult,
-			},
-			Routes:       routes,
-			Sessions:     sessions,
-			SlowFraction: 0.05,
-			SlowStall:    250_000,
-			Retry:        row.retry,
-			OnOutcome: func(_, route int, arrival, done int64, outcome string) {
-				ok := outcome == netsim.OutcomeCompleted &&
-					done-arrival <= routes[route].SLOCycles
-				tracker.Observe(done, ok)
-			},
-		}
-		r, err := webrick.Run(webrick.Config{Prof: prof, Mode: vm.ModeHTM,
-			Workers: 16, Open: gen, Trace: rec,
-			Faults: spec, Breaker: true, Watchdog: true,
-			Resilience: row.res})
-		if err != nil {
-			return err
-		}
-		rr.gen, rr.res, rr.ab = gen, r.Res, r.AbortRatio
-		rr.agg, rr.routes = servingDigest(gen, routes)
-		rr.recover = tracker.RecoverAt(pulseEnd)
-
-		rep := newReport("resilience", prof.Name, "webrick", row.name,
-			16, sessions, r.Cycles, gen.Throughput(), r.Stats, agg, s.topN())
-		rep.Cores = prof.Cores
-		rep.Workers = 16
-		rep.Sessions = sessions
-		rep.RatePerSec = baseRate
-		rep.Arrivals = gen.Generated
-		rep.ConnsTotal = gen.ConnsTotal
-		rep.ConnsPeak = gen.ConnsPeak
-		rep.Shed = gen.Shed
-		rep.GaveUp = gen.GaveUp
-		rep.DeadlineExceeded = gen.DeadlineExceeded
-		lat := rr.agg
-		rep.Latency = &lat
-		rep.RouteLatency = rr.routes
-		rep.FaultSpec = spec.String()
-		rep.Seed = chaosSeed(spec, prof)
-		rec2 := rr.recover
-		rep.RecoverCycles = &rec2
-		if rr.res != nil && rr.res.Brownout != nil {
-			rep.BrownoutTransitions = rr.res.Brownout.Transitions
-		}
-		pt.rep = rep
-		pt.hasRep = true
-		return nil
-	}
-	p.pts = append(p.pts, pt)
-	return rr
-}
-
 const resilienceHeader = "%-12s%8s%8s%8s%8s%9s%8s%8s%9s%8s%12s\n"
 
-// resilienceRow renders one ladder row; recover is in cycles from the
+// resilienceRowOut renders one ladder row; recover is in cycles from the
 // pulse clearing (-1: the service never climbed back out).
-func resilienceRowOut(w io.Writer, name string, r *resilienceRun) error {
-	ms := func(c int64) float64 { return float64(c) / cyclesPerMs }
+func resilienceRowOut(w io.Writer, name string, r *run) error {
 	_, err := fmt.Fprintf(w, "%-12s%8d%8d%8d%8d%9.1f%8.1f%8.1f%8.1f%%%7.1f%%%12s\n",
-		name, r.gen.Generated, r.gen.Shed, r.gen.GaveUp, r.gen.DeadlineExceeded,
-		r.gen.Throughput(), ms(r.agg.P50), ms(r.agg.P99),
-		r.agg.Attainment*100, r.ab*100, strconv.FormatInt(r.recover, 10))
+		name, r.Arrivals, r.Shed, r.GaveUp, r.DeadlineExceeded,
+		r.Throughput, ms(r.Latency.P50), ms(r.Latency.P99),
+		r.Latency.Attainment*100, r.AbortRatio*100, recoverText(r))
 	return err
 }
 
-// buildResilience enumerates the metastable-failure ladder.
+// buildResilience enumerates the metastable-failure ladder: one protection
+// config per row under the same scenario — baseRate pulsed by pulseMult over
+// [pulseStart, pulseEnd) with a co-timed reset burst, horizon cycles total.
 func (s *Session) buildResilience(p *plan) {
 	prof := htm.Server(128)
 	sessions := 1200
@@ -227,15 +136,34 @@ func (s *Session) buildResilience(p *plan) {
 		pulseMult, pulseStart/1_000_000, pulseEnd/1_000_000)
 	p.printf(resilienceHeader, "config", "gen", "shed", "gaveup", "dlx",
 		"tput", "p50ms", "p99ms", "slo", "abort", "recover")
-	runs := make([]*resilienceRun, 0, 4)
-	names := make([]string, 0, 4)
-	for _, row := range resilienceRows() {
-		r := p.resiliencePoint("resilience webrick/"+row.name, prof, row,
-			baseRate, sessions, horizon, pulseStart, pulseEnd, pulseMult)
-		name := row.name
-		p.cell(func(w io.Writer) error { return resilienceRowOut(w, name, r) })
-		runs = append(runs, r)
-		names = append(names, name)
+	rows := resilienceRows()
+	runs := make([]*run, len(rows))
+	for i, row := range rows {
+		runs[i] = p.point(pointSpec{
+			label: "resilience webrick/" + row.name, exp: "resilience", prof: prof,
+			cfg:    Config{Name: row.name, Mode: vm.ModeHTM},
+			faults: fmt.Sprintf("connreset=0.3,from=%d,until=%d", pulseStart, pulseEnd), guard: true,
+			server: &serverLoad{app: "webrick", open: &openLoad{
+				workers: 16, res: row.res, recoverFrom: pulseEnd,
+				gen: netsim.OpenLoadGen{
+					Seed: 7,
+					Arrivals: netsim.ArrivalOpts{
+						Kind:       netsim.ArrivalPoisson,
+						RatePerSec: baseRate,
+						Horizon:    horizon,
+						PulseStart: pulseStart,
+						PulseEnd:   pulseEnd,
+						PulseMult:  pulseMult,
+					},
+					Routes:       resilienceRoutes(row.res != nil && row.res.Deadlines),
+					Sessions:     sessions,
+					SlowFraction: 0.05,
+					SlowStall:    250_000,
+					Retry:        row.retry,
+				},
+			}},
+		})
+		p.cell(func(w io.Writer) error { return resilienceRowOut(w, row.name, runs[i]) })
 	}
 
 	// Per-route digest: what the brownout priorities buy — the essential
@@ -244,16 +172,14 @@ func (s *Session) buildResilience(p *plan) {
 	p.printf("\n# Resilience — per-route attainment across the ladder\n")
 	p.printf("%-12s%-10s%8s%8s%8s%8s%8s\n",
 		"config", "route", "n", "failed", "p50ms", "p99ms", "slo")
-	for i := range runs {
-		name, r := names[i], runs[i]
-		p.cell(func(w io.Writer) error { return resilienceRoutesRow(w, name, r) })
+	for i, row := range rows {
+		p.cell(func(w io.Writer) error { return resilienceRoutesRow(w, row.name, runs[i]) })
 	}
 }
 
 // resilienceRoutesRow renders the per-route digest of one ladder row.
-func resilienceRoutesRow(w io.Writer, config string, r *resilienceRun) error {
-	ms := func(c int64) float64 { return float64(c) / cyclesPerMs }
-	for _, rl := range r.routes {
+func resilienceRoutesRow(w io.Writer, config string, r *run) error {
+	for _, rl := range r.RouteLatency {
 		if _, err := fmt.Fprintf(w, "%-12s%-10s%8d%8d%8.1f%8.1f%7.1f%%\n",
 			config, rl.Route, rl.Count, rl.Failed, ms(rl.P50), ms(rl.P99),
 			rl.Attainment*100); err != nil {
@@ -262,9 +188,3 @@ func resilienceRoutesRow(w io.Writer, config string, r *resilienceRun) error {
 	}
 	return nil
 }
-
-// ResilienceTable regenerates the resilience experiment (see buildResilience).
-func (s *Session) ResilienceTable() error { return s.runPlan(s.buildResilience) }
-
-// ResilienceTable regenerates the resilience experiment in a fresh Session.
-func ResilienceTable(w io.Writer, quick bool) error { return NewSession(w, quick).ResilienceTable() }

@@ -9,9 +9,6 @@ import (
 // table, JSON reports and CSV — matches its committed digest (see
 // digest_test.go), which pins it across runs, worker counts and commits.
 func TestResilienceExperimentDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick resilience run")
-	}
 	_, r1, _ := checkQuickDigest(t, "resilience")
 
 	// The headline must hold: the unprotected server never recovers from

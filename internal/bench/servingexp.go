@@ -5,12 +5,9 @@ import (
 	"io"
 	"strconv"
 
-	"htmgil/internal/fault"
 	"htmgil/internal/htm"
 	"htmgil/internal/netsim"
-	"htmgil/internal/railslite"
 	"htmgil/internal/vm"
-	"htmgil/internal/webrick"
 )
 
 // The serving experiment drives the two paper applications open-loop at
@@ -104,27 +101,16 @@ func servingScenarios(quick bool, horizon int64) []servingScenario {
 	return out
 }
 
-// servingRun is the handle to one serving point.
-type servingRun struct {
-	gen     *netsim.OpenLoadGen
-	ab      float64
-	cycles  int64
-	st      *vm.Stats
-	agg     LatencySummary
-	routes  []RouteLatency
-	recover *int64
-}
-
 // servingDigest pools the per-route samples into the aggregate summary
 // (attainment judged against each route's own SLO) and the per-route table.
 // Requests that never completed — shed by admission control, given up after
 // exhausting retries, or cancelled past their deadline — are SLO misses:
 // they fold into attainment without contributing latency samples.
-func servingDigest(g *netsim.OpenLoadGen, routes []netsim.OpenRoute) (LatencySummary, []RouteLatency) {
+func servingDigest(g *netsim.OpenLoadGen) (LatencySummary, []RouteLatency) {
 	var all []int64
 	met, judged := 0, 0
-	per := make([]RouteLatency, 0, len(routes))
-	for i, r := range routes {
+	per := make([]RouteLatency, 0, len(g.Routes))
+	for i, r := range g.Routes {
 		rs := Summarize(g.Samples[i], r.SLOCycles).WithFailures(g.FailedByRoute[i])
 		per = append(per, RouteLatency{Route: r.Name, LatencySummary: rs})
 		all = append(all, g.Samples[i]...)
@@ -140,113 +126,50 @@ func servingDigest(g *netsim.OpenLoadGen, routes []netsim.OpenRoute) (LatencySum
 	return agg, per
 }
 
-// servingPoint enumerates one point of the serving sweep.
-func (p *plan) servingPoint(label string, prof *htm.Profile, app servingApp, sc servingScenario,
-	seed int64, sessions int, horizon int64) *servingRun {
-	sr := &servingRun{}
-	pt := &point{label: label}
-	s := p.s
-	rate := app.baseRate * sc.loadMult
-	pt.exec = func() error {
-		var spec *fault.Spec
-		if sc.faults != "" {
-			var err error
-			if spec, err = fault.ParseSpec(sc.faults); err != nil {
-				return err
-			}
-		}
-		agg, rec := s.attach()
-		gen := &netsim.OpenLoadGen{
-			Seed: seed,
-			Arrivals: netsim.ArrivalOpts{
-				Kind:       sc.kind,
-				RatePerSec: rate,
-				Horizon:    horizon,
+// servingPoint is the spec of one point of the serving sweep.
+func servingPoint(label string, prof *htm.Profile, app servingApp, sc servingScenario,
+	seed int64, sessions int, horizon int64) pointSpec {
+	return pointSpec{
+		label: label, exp: "serving", prof: prof,
+		cfg:    Config{Name: sc.name, Mode: vm.ModeHTM, Policy: sc.policy},
+		faults: sc.faults, guard: sc.faults != "",
+		server: &serverLoad{app: app.name, open: &openLoad{
+			workers: app.workers,
+			gen: netsim.OpenLoadGen{
+				Seed: seed,
+				Arrivals: netsim.ArrivalOpts{
+					Kind:       sc.kind,
+					RatePerSec: app.baseRate * sc.loadMult,
+					Horizon:    horizon,
+				},
+				Routes:       app.routes,
+				Sessions:     sessions,
+				SlowFraction: sc.slowFrac,
+				SlowStall:    sc.slowStall,
 			},
-			Routes:       app.routes,
-			Sessions:     sessions,
-			SlowFraction: sc.slowFrac,
-			SlowStall:    sc.slowStall,
-		}
-		var (
-			cycles int64
-			ab     float64
-			st     *vm.Stats
-		)
-		switch app.name {
-		case "webrick":
-			r, err := webrick.Run(webrick.Config{Prof: prof, Mode: vm.ModeHTM, Policy: sc.policy,
-				Workers: app.workers, Open: gen, Trace: rec,
-				Faults: spec, Breaker: spec != nil, Watchdog: spec != nil})
-			if err != nil {
-				return err
-			}
-			cycles, ab, st = r.Cycles, r.AbortRatio, r.Stats
-		default:
-			r, err := railslite.Run(railslite.Config{Prof: prof, Mode: vm.ModeHTM, Policy: sc.policy,
-				Workers: app.workers, Open: gen, Trace: rec,
-				Faults: spec, Breaker: spec != nil, Watchdog: spec != nil})
-			if err != nil {
-				return err
-			}
-			cycles, ab, st = r.Cycles, r.AbortRatio, r.Stats
-		}
-		sr.gen, sr.ab, sr.cycles, sr.st = gen, ab, cycles, st
-		sr.agg, sr.routes = servingDigest(gen, app.routes)
-		if spec != nil {
-			sr.recover = timeToRecover(st, spec)
-		}
-
-		rep := newReport("serving", prof.Name, app.name, sc.name,
-			app.workers, sessions, cycles, gen.Throughput(), st, agg, s.topN())
-		rep.Cores = prof.Cores
-		rep.Workers = app.workers
-		rep.Sessions = sessions
-		rep.RatePerSec = rate
-		rep.Arrivals = gen.Generated
-		rep.ConnsTotal = gen.ConnsTotal
-		rep.ConnsPeak = gen.ConnsPeak
-		rep.Shed = gen.Shed
-		rep.GaveUp = gen.GaveUp
-		rep.DeadlineExceeded = gen.DeadlineExceeded
-		lat := sr.agg
-		rep.Latency = &lat
-		rep.RouteLatency = sr.routes
-		if spec != nil {
-			rep.FaultSpec = spec.String()
-			rep.Seed = chaosSeed(spec, prof)
-			rep.RecoverCycles = sr.recover
-		}
-		pt.rep = rep
-		pt.hasRep = true
-		return nil
+		}},
 	}
-	p.pts = append(p.pts, pt)
-	return sr
 }
 
 const servingHeader = "%-12s%8s%8s%8s%9s%8s%8s%8s%9s%8s%8s%7s%10s\n"
 
+// ms converts virtual cycles to milliseconds for the tables.
+func ms(c int64) float64 { return float64(c) / cyclesPerMs }
+
 // servingRow renders one scenario row; latencies in milliseconds. The gaveup
 // column counts requests abandoned after exhausting their retry attempts (a
 // distinct outcome from completions — they are SLO misses, not lost rows).
-func servingRow(w io.Writer, name string, rate float64, r *servingRun) error {
-	rec := "-"
-	if r.recover != nil {
-		rec = strconv.FormatInt(*r.recover, 10)
-	}
-	ms := func(c int64) float64 { return float64(c) / cyclesPerMs }
+func servingRow(w io.Writer, name string, r *run) error {
 	_, err := fmt.Fprintf(w, "%-12s%8.0f%8d%8d%9.1f%8.1f%8.1f%8.1f%9.1f%7.1f%%%7.1f%%%7d%10s\n",
-		name, rate, r.gen.Generated, r.gen.GaveUp, r.gen.Throughput(),
-		ms(r.agg.P50), ms(r.agg.P99), ms(r.agg.P999), ms(r.agg.Max),
-		r.agg.Attainment*100, r.ab*100, r.gen.ConnsPeak, rec)
+		name, r.RatePerSec, r.Arrivals, r.GaveUp, r.Throughput,
+		ms(r.Latency.P50), ms(r.Latency.P99), ms(r.Latency.P999), ms(r.Latency.Max),
+		r.Latency.Attainment*100, r.AbortRatio*100, r.ConnsPeak, recoverText(r))
 	return err
 }
 
 // servingRoutesRow renders the per-route latency digest of one point.
-func servingRoutesRow(w io.Writer, app string, r *servingRun) error {
-	ms := func(c int64) float64 { return float64(c) / cyclesPerMs }
-	for _, rl := range r.routes {
+func servingRoutesRow(w io.Writer, app string, r *run) error {
+	for _, rl := range r.RouteLatency {
 		if _, err := fmt.Fprintf(w, "%-10s%-10s%8d%8.1f%8.1f%8.1f%9.1f%7.1f%%\n",
 			app, rl.Route, rl.Count, ms(rl.P50), ms(rl.P99), ms(rl.P999), ms(rl.Max),
 			rl.Attainment*100); err != nil {
@@ -271,20 +194,19 @@ func (s *Session) buildServing(p *plan) {
 	scs := servingScenarios(quick, horizon)
 	prof := htm.Server(128)
 
-	steady := make(map[string]*servingRun)
+	steady := make(map[string]*run)
 	for _, app := range servingApps() {
 		p.printf("\n# Serving — %s pool on %s, %d workers, %d sessions, horizon %dM cycles (open-loop)\n",
 			app.name, prof.Name, app.workers, sessions, horizon/1_000_000)
 		p.printf(servingHeader, "scenario", "rate", "gen", "gaveup", "tput",
 			"p50ms", "p99ms", "p999ms", "maxms", "slo", "abort", "peak", "recover")
 		for i, sc := range scs {
-			r := p.servingPoint(fmt.Sprintf("serving %s/%s/%s", app.name, prof.Name, sc.name),
-				prof, app, sc, int64(7+i), sessions, horizon)
+			r := p.point(servingPoint(fmt.Sprintf("serving %s/%s/%s", app.name, prof.Name, sc.name),
+				prof, app, sc, int64(7+i), sessions, horizon))
 			if sc.name == "steady" {
 				steady[app.name] = r
 			}
-			name, rate := sc.name, app.baseRate*sc.loadMult
-			p.cell(func(w io.Writer) error { return servingRow(w, name, rate, r) })
+			p.cell(func(w io.Writer) error { return servingRow(w, sc.name, r) })
 		}
 	}
 
@@ -303,13 +225,12 @@ func (s *Session) buildServing(p *plan) {
 			app.name, big.Name, sessions)
 		p.printf(servingHeader, "workers", "rate", "gen", "gaveup", "tput",
 			"p50ms", "p99ms", "p999ms", "maxms", "slo", "abort", "peak", "recover")
-		for _, w := range pools {
+		for _, workers := range pools {
 			a := app
-			a.workers = w
-			r := p.servingPoint(fmt.Sprintf("serving %s/%s/steady-%dw", app.name, big.Name, w),
-				big, a, sc, 7, sessions, horizon)
-			name, rate := strconv.Itoa(w), app.baseRate*sc.loadMult
-			p.cell(func(w io.Writer) error { return servingRow(w, name, rate, r) })
+			a.workers = workers
+			r := p.point(servingPoint(fmt.Sprintf("serving %s/%s/steady-%dw", app.name, big.Name, workers),
+				big, a, sc, 7, sessions, horizon))
+			p.cell(func(w io.Writer) error { return servingRow(w, strconv.Itoa(workers), r) })
 		}
 	}
 
@@ -322,9 +243,3 @@ func (s *Session) buildServing(p *plan) {
 		p.cell(func(w io.Writer) error { return servingRoutesRow(w, name, r) })
 	}
 }
-
-// ServingTable regenerates the serving experiment (see buildServing).
-func (s *Session) ServingTable() error { return s.runPlan(s.buildServing) }
-
-// ServingTable regenerates the serving experiment in a fresh Session.
-func ServingTable(w io.Writer, quick bool) error { return NewSession(w, quick).ServingTable() }

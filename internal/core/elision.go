@@ -179,20 +179,6 @@ type Elision struct {
 	curThread int
 }
 
-// New creates the TLE runtime with the paper's algorithm selected by
-// params: ConstantLength > 0 builds the fixed-length configuration,
-// otherwise the dynamic Figure 3 policy. numYieldPoints is retained for API
-// compatibility; policy tables grow on demand.
-func New(params Params, g *gil.GIL, engine *sched.Engine, numYieldPoints int) *Elision {
-	var p policy.Policy
-	if params.ConstantLength > 0 {
-		p = policy.NewFixedLength(params, params.ConstantLength)
-	} else {
-		p = policy.NewPaperDynamic(params)
-	}
-	return NewWithPolicy(p, g, engine)
-}
-
 // NewWithPolicy creates the TLE runtime driven by an arbitrary policy.
 func NewWithPolicy(p policy.Policy, g *gil.GIL, engine *sched.Engine) *Elision {
 	if (policy.UsesLazySubscription(p) || policy.UsesOCCTier(p)) && g != nil {
@@ -262,17 +248,6 @@ func (e *Elision) TouchShard(t *Thread, s int) {
 			t.HTM.ExplicitAbort()
 		}
 	}
-}
-
-// LengthAt returns the current transaction length for a yield point when
-// the policy keeps a length table (0 otherwise; Figure 3 semantics: 0 also
-// means not yet initialized).
-func (e *Elision) LengthAt(pc int) int32 {
-	type lengthAt interface{ LengthAt(pc int) int32 }
-	if la, ok := e.Policy.(lengthAt); ok {
-		return la.LengthAt(pc)
-	}
-	return 0
 }
 
 // Lengths returns a copy of the policy's per-yield-point length table, or

@@ -23,15 +23,7 @@ type rig struct {
 
 func newRig(t *testing.T, prof *htm.Profile, params Params, nthreads int) *rig {
 	t.Helper()
-	prof.InterruptMeanCycles = 0
-	mem := simmem.NewMemory(simmem.Config{LineBytes: prof.LineBytes}, prof.HWThreads())
-	eng := sched.NewEngine(sched.Config{HWThreads: prof.HWThreads(), SMTWays: prof.SMTWays, SMTPenalty: 1.9})
-	g := gil.New(mem, eng, gil.DefaultCosts())
-	el := New(params, g, eng, 64)
-	r := &rig{mem: mem, eng: eng, gil: g, el: el, live: nthreads}
-	el.LiveAppThreads = func() int { return r.live }
-	r.ctrAdr = mem.Reserve("counter", 64)
-	return r
+	return newRigPolicy(t, prof, policy.NewPaperDynamic(params), nthreads)
 }
 
 // newRigPolicy wires the rig around an arbitrary contention policy.

@@ -90,14 +90,6 @@ func (g *DeadlineGate) OnCommit(rt Runtime, ts ThreadState, pc int) {
 // Lengths delegates to the inner policy.
 func (g *DeadlineGate) Lengths() []int32 { return g.inner.Lengths() }
 
-// LengthAt forwards the optional per-PC length probe (core.Elision.LengthAt).
-func (g *DeadlineGate) LengthAt(pc int) int32 {
-	if la, ok := g.inner.(interface{ LengthAt(pc int) int32 }); ok {
-		return la.LengthAt(pc)
-	}
-	return 0
-}
-
 // LazySubscribes forwards the lazy-subscription probe.
 func (g *DeadlineGate) LazySubscribes() bool { return UsesLazySubscription(g.inner) }
 

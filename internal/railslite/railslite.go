@@ -1,24 +1,41 @@
 // Package railslite is the paper's Ruby on Rails experiment: a small MVC
 // web application in mini-Ruby — regexp routing, a controller querying the
 // SQLite-like store, and string-interpolation view rendering — served by
-// the WEBrick-style thread-per-request loop. As in the paper, Rails'
-// backward-compatibility global request lock is disabled by default (the
-// paper disabled it to expose concurrency) but can be enabled for the
-// ablation.
+// the WEBrick harness (internal/webrick), as the paper served Rails. As in
+// the paper, Rails' backward-compatibility global request lock is disabled
+// by default (the paper disabled it to expose concurrency) but can be
+// enabled for the ablation.
 package railslite
 
 import (
 	"fmt"
 
 	"htmgil/internal/db"
-	"htmgil/internal/fault"
-	"htmgil/internal/htm"
-	"htmgil/internal/netsim"
-	"htmgil/internal/rbregexp"
-	"htmgil/internal/resilience"
-	"htmgil/internal/trace"
-	"htmgil/internal/vm"
+	"htmgil/internal/webrick"
 )
+
+// setup creates and seeds the store and the routing tables.
+const setup = `
+$db = SQLite3.new
+$db.execute("CREATE TABLE books (id, title, author)")
+seed = 0
+while seed < 24
+  $db.execute("INSERT INTO books VALUES (#{seed}, 'The Art of Book #{seed}', 'Author #{seed % 7}')")
+  seed += 1
+end
+$rack_lock = Mutex.new
+$reqline = Regexp.new("^(GET|POST) ([^ ]+) HTTP")
+$route_books = Regexp.new("^/books")
+`
+
+// rackLock returns the statements that take and release the global Rack
+// lock around the controller, or nothing when the lock is disabled.
+func rackLock(withLock bool) (pre, post string) {
+	if withLock {
+		return "$rack_lock.lock\n", "$rack_lock.unlock\n"
+	}
+	return "", ""
+}
 
 // appSource builds the Rails-like application; withLock wraps request
 // processing in the global Rack lock.
@@ -31,23 +48,8 @@ func appSource(withLock bool) string {
       end
       body = "<html><head><title>Books</title></head><body><h1>Listing books</h1><ul>" + items + "</ul></body></html>"
 `
-	lockPre, lockPost := "", ""
-	if withLock {
-		lockPre = "$rack_lock.lock\n"
-		lockPost = "$rack_lock.unlock\n"
-	}
-	return `
-$db = SQLite3.new
-$db.execute("CREATE TABLE books (id, title, author)")
-seed = 0
-while seed < 24
-  $db.execute("INSERT INTO books VALUES (#{seed}, 'The Art of Book #{seed}', 'Author #{seed % 7}')")
-  seed += 1
-end
-$rack_lock = Mutex.new
-$reqline = Regexp.new("^(GET|POST) ([^ ]+) HTTP")
-$route_books = Regexp.new("^/books")
-server = TCPServer.new(80)
+	lockPre, lockPost := rackLock(withLock)
+	return setup + `server = TCPServer.new(80)
 while true
   sock = server.accept
   Thread.new(sock) do |s|
@@ -89,23 +91,8 @@ func poolAppSource(withLock bool, workers int) string {
     end
     body = "<html><head><title>Books</title></head><body><h1>Listing books</h1><ul>" + items + "</ul></body></html>"
 `
-	lockPre, lockPost := "", ""
-	if withLock {
-		lockPre = "$rack_lock.lock\n"
-		lockPost = "$rack_lock.unlock\n"
-	}
-	return `
-$db = SQLite3.new
-$db.execute("CREATE TABLE books (id, title, author)")
-seed = 0
-while seed < 24
-  $db.execute("INSERT INTO books VALUES (#{seed}, 'The Art of Book #{seed}', 'Author #{seed % 7}')")
-  seed += 1
-end
-$rack_lock = Mutex.new
-$reqline = Regexp.new("^(GET|POST) ([^ ]+) HTTP")
-$route_books = Regexp.new("^/books")
-
+	lockPre, lockPost := rackLock(withLock)
+	return setup + `
 def handle_conn(s)
   req = s.read_request
   unless req.nil?
@@ -145,144 +132,38 @@ end
 // Request fetches the book list, as the paper's Rails application did.
 const Request = "GET /books HTTP/1.1\r\nHost: sim.example\r\nUser-Agent: loadgen/1.0\r\nAccept: text/html\r\n\r\n"
 
-// Config parameterizes a run.
-type Config struct {
-	Prof       *htm.Profile
-	Mode       vm.Mode
-	TxLength   int32
-	Policy     string // contention policy name ("" = TxLength semantics)
-	Clients    int
-	Requests   int
-	GlobalLock bool // Rails' compatibility lock (paper: disabled)
-	// Workers, when > 0, serves with the bounded worker-pool source instead
-	// of thread-per-request (see poolAppSource).
-	Workers int
-	// Open, when non-nil, replaces the closed-loop clients with the
-	// open-loop generator: Run fills in its network plumbing (Net, Eng,
-	// Port, OnDone), starts it, and returns it in Result.Open.
-	Open *netsim.OpenLoadGen
-	// Trace, when non-nil, is attached to the run's VM (vm.Options.Trace)
-	// so callers can observe the server's transaction events.
-	Trace *trace.Recorder
-	// Faults arms the deterministic fault-injection harness for the run.
-	Faults *fault.Spec
-	// Breaker / Watchdog enable the graceful-degradation machinery.
-	Breaker  bool
-	Watchdog bool
-	// Resilience arms request-level protection on the server (admission
-	// control, brownout, deadlines); see resilience.Config.
-	Resilience *resilience.Config
+// App returns the application for the WEBrick harness to serve: the source
+// above plus the SQLite-like store it queries. globalLock enables Rails'
+// compatibility lock (the paper disabled it).
+func App(globalLock bool) *webrick.App {
+	return &webrick.App{
+		Name: "railslite",
+		Source: func(workers int) string {
+			if workers > 0 {
+				return poolAppSource(globalLock, workers)
+			}
+			return appSource(globalLock)
+		},
+		Request: Request,
+		Install: db.Install,
+	}
 }
 
-// Result mirrors webrick.Result.
-type Result struct {
-	Clients    int
-	Completed  int
-	Cycles     int64
-	Throughput float64
-	AbortRatio float64
-	Stats      *vm.Stats
-	// Open is the finished open-loop generator when the run was driven
-	// open-loop; nil for closed-loop runs.
-	Open *netsim.OpenLoadGen
-	// Res is the server-side resilience state when Config.Resilience was set.
-	Res *resilience.Server
-}
+// Config and Result are the harness's: Rails runs on WEBrick, here as in
+// the paper.
+type (
+	Config = webrick.Config
+	Result = webrick.Result
+)
 
-// Run executes the Rails-like benchmark.
+// Run is webrick.Run with this package's defaults: 200 requests, and App(false)
+// (the paper's configuration, lock disabled) unless cfg.App is set.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Requests == 0 {
 		cfg.Requests = 200
 	}
-	opt := vm.DefaultOptions(cfg.Prof, cfg.Mode)
-	opt.TxLength = cfg.TxLength
-	opt.Policy = cfg.Policy
-	opt.Trace = cfg.Trace
-	opt.Faults = cfg.Faults
-	opt.Breaker = cfg.Breaker
-	opt.Watchdog = cfg.Watchdog
-	var rs *resilience.Server
-	if cfg.Resilience != nil && cfg.Resilience.Enabled() {
-		rs = resilience.NewServer(*cfg.Resilience)
-		if rs.Deadlines != nil {
-			opt.Deadlines = rs.Deadlines
-			opt.DeadlineSlack = cfg.Resilience.DeadlineSlack
-		}
+	if cfg.App == nil {
+		cfg.App = App(false)
 	}
-	machine := vm.New(opt)
-	net := netsim.NewNetwork(machine.Engine)
-	// machine.Opt.Trace (not cfg.Trace): the VM may have created a
-	// recorder for the watchdog.
-	net.Tracer = machine.Opt.Trace
-	net.Faults = machine.Faults
-	if rs != nil {
-		rs.Tracer = machine.Opt.Trace
-		net.Res = rs
-	}
-	netsim.Install(machine, net)
-	rbregexp.Install(machine)
-	rbregexp.InstallStringMethods(machine)
-	db.Install(machine)
-
-	src := appSource(cfg.GlobalLock)
-	if cfg.Workers > 0 {
-		src = poolAppSource(cfg.GlobalLock, cfg.Workers)
-	}
-	iseq, err := machine.CompileSource(src, "railslite")
-	if err != nil {
-		return nil, fmt.Errorf("railslite: %w", err)
-	}
-
-	if cfg.Open != nil {
-		gen := cfg.Open
-		gen.Net = net
-		gen.Eng = machine.Engine
-		gen.Port = 80
-		gen.OnDone = machine.Engine.Stop
-		gen.Start()
-		res, err := machine.Run(iseq)
-		if err != nil {
-			return nil, fmt.Errorf("railslite run: %w", err)
-		}
-		if gen.Resolved() < gen.Generated {
-			return nil, fmt.Errorf("railslite: only %d/%d open-loop requests resolved", gen.Resolved(), gen.Generated)
-		}
-		return &Result{
-			Clients:    gen.Sessions,
-			Completed:  gen.Completed,
-			Cycles:     res.Cycles,
-			Throughput: gen.Throughput(),
-			AbortRatio: res.Stats.AbortRatio(),
-			Stats:      res.Stats,
-			Open:       gen,
-			Res:        rs,
-		}, nil
-	}
-
-	gen := &netsim.LoadGen{
-		Net:       net,
-		Eng:       machine.Engine,
-		Port:      80,
-		Request:   Request,
-		ThinkTime: 10_000,
-		Target:    cfg.Requests,
-		OnDone:    machine.Engine.Stop,
-	}
-	gen.Start(cfg.Clients)
-	res, err := machine.Run(iseq)
-	if err != nil {
-		return nil, fmt.Errorf("railslite run: %w", err)
-	}
-	if gen.Completed < cfg.Requests {
-		return nil, fmt.Errorf("railslite: only %d/%d requests completed", gen.Completed, cfg.Requests)
-	}
-	return &Result{
-		Clients:    cfg.Clients,
-		Completed:  gen.Completed,
-		Cycles:     res.Cycles,
-		Throughput: gen.Throughput(),
-		AbortRatio: res.Stats.AbortRatio(),
-		Stats:      res.Stats,
-		Res:        rs,
-	}, nil
+	return webrick.Run(cfg)
 }

@@ -37,7 +37,7 @@ func TestRailsGlobalLockSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locked, err := Run(Config{Prof: htm.XeonE3(), Mode: vm.ModeHTM, Clients: 4, Requests: 60, GlobalLock: true})
+	locked, err := Run(Config{Prof: htm.XeonE3(), Mode: vm.ModeHTM, Clients: 4, Requests: 60, App: App(true)})
 	if err != nil {
 		t.Fatal(err)
 	}

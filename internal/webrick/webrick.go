@@ -19,8 +19,9 @@ import (
 	"htmgil/internal/vm"
 )
 
-// ServerSource is the WEBrick-like HTTP server, in mini-Ruby.
-const ServerSource = `
+// pageHelpers is the request-parsing and page-building prelude both server
+// shapes share.
+const pageHelpers = `
 $reqline = Regexp.new("^(GET|POST) ([^ ]+) HTTP/([0-9.]+)")
 $hdrline = Regexp.new("^([A-Za-z-]+): *(.+)$")
 
@@ -55,7 +56,10 @@ def build_page(path, headers)
   end
   "<html><head><title>" + html_escape(path) + "</title></head><body><h1>hello from webrick</h1><table>" + rows + "</table></body></html>"
 end
+`
 
+// ServerSource is the WEBrick-like HTTP server, in mini-Ruby.
+const ServerSource = pageHelpers + `
 server = TCPServer.new(80)
 while true
   sock = server.accept
@@ -107,42 +111,7 @@ func PoolSource(workers int) string {
 	if workers < 2 {
 		workers = 2
 	}
-	return `
-$reqline = Regexp.new("^(GET|POST) ([^ ]+) HTTP/([0-9.]+)")
-$hdrline = Regexp.new("^([A-Za-z-]+): *(.+)$")
-
-def html_escape(s)
-  out = ""
-  i = 0
-  n = s.length
-  while i < n
-    c = s[i]
-    if c == "<"
-      out = out + "&lt;"
-    elsif c == ">"
-      out = out + "&gt;"
-    elsif c == "&"
-      out = out + "&amp;"
-    else
-      out = out + c
-    end
-    i += 1
-  end
-  out
-end
-
-def build_page(path, headers)
-  rows = ""
-  ks = headers.keys
-  i = 0
-  while i < ks.length
-    k = ks[i]
-    rows = rows + "<tr><td>" + html_escape(k) + "</td><td>" + html_escape(headers[k]) + "</td></tr>"
-    i += 1
-  end
-  "<html><head><title>" + html_escape(path) + "</title></head><body><h1>hello from webrick</h1><table>" + rows + "</table></body></html>"
-end
-
+	return pageHelpers + `
 def handle_conn(s)
   req = s.read_request
   unless req.nil?
@@ -205,6 +174,28 @@ const Request = "GET /index.html HTTP/1.1\r\n" +
 	"Cache-Control: max-age=0\r\n" +
 	"Connection: close\r\n\r\n"
 
+// App is a server program the harness can serve: its mini-Ruby source in
+// both shapes, the request closed-loop clients send, and the natives it
+// needs beyond the network and regexp extensions every app gets.
+type App struct {
+	Name    string                   // compilation unit name; prefixes errors
+	Source  func(workers int) string // workers 0 = thread-per-request, else a bounded pool
+	Request string
+	Install func(*vm.VM) // nil = nothing more to install
+}
+
+// webrickApp is the server this package is named after.
+var webrickApp = &App{
+	Name: "webrick",
+	Source: func(workers int) string {
+		if workers > 0 {
+			return PoolSource(workers)
+		}
+		return ServerSource
+	},
+	Request: Request,
+}
+
 // Result summarizes one server benchmark run.
 type Result struct {
 	Clients    int
@@ -214,7 +205,9 @@ type Result struct {
 	AbortRatio float64
 	Stats      *vm.Stats
 	// Open is the finished open-loop generator (counters, latency samples)
-	// when the run was driven open-loop; nil for closed-loop runs.
+	// when the run was driven open-loop; nil for closed-loop runs. Its
+	// network plumbing (Net, Eng, OnDone) is cleared: a kept Result must
+	// not keep the simulated machine alive.
 	Open *netsim.OpenLoadGen
 	// Res is the server-side resilience state (shed/expired counters,
 	// brownout transitions) when Config.Resilience was set.
@@ -225,14 +218,15 @@ type Result struct {
 type Config struct {
 	Prof     *htm.Profile
 	Mode     vm.Mode
-	TxLength int32  // 0 = dynamic
-	Policy   string // contention policy name ("" = TxLength semantics)
+	Policy   string // contention policy name ("" = paper-dynamic)
 	Clients  int
-	Requests int // total requests to serve
+	Requests int // total requests to serve (0 = 300)
 	// ZOSMalloc models z/OS malloc: arena operations on global state even
 	// with HEAPPOOLS, the paper's WEBrick-on-zEC12 conflict source.
 	ZOSMalloc bool
-	Source    string // defaults to ServerSource (or PoolSource with Workers set)
+	// App is the program to serve; nil serves the WEBrick server itself.
+	// The paper ran Rails on WEBrick the same way (internal/railslite).
+	App *App
 	// Workers, when > 0, serves with the bounded worker-pool source instead
 	// of thread-per-request (see PoolSource).
 	Workers int
@@ -265,8 +259,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Requests == 0 {
 		cfg.Requests = 300
 	}
+	app := cfg.App
+	if app == nil {
+		app = webrickApp
+	}
 	opt := vm.DefaultOptions(cfg.Prof, cfg.Mode)
-	opt.TxLength = cfg.TxLength
 	opt.Policy = cfg.Policy
 	opt.Trace = cfg.Trace
 	opt.Faults = cfg.Faults
@@ -297,71 +294,55 @@ func Run(cfg Config) (*Result, error) {
 	netsim.Install(machine, net)
 	rbregexp.Install(machine)
 	rbregexp.InstallStringMethods(machine)
-
-	src := cfg.Source
-	if src == "" {
-		if cfg.Workers > 0 {
-			src = PoolSource(cfg.Workers)
-		} else {
-			src = ServerSource
-		}
+	if app.Install != nil {
+		app.Install(machine)
 	}
-	iseq, err := machine.CompileSource(src, "webrick")
+
+	iseq, err := machine.CompileSource(app.Source(cfg.Workers), app.Name)
 	if err != nil {
-		return nil, fmt.Errorf("webrick: %w", err)
+		return nil, fmt.Errorf("%s: %w", app.Name, err)
 	}
 
-	if cfg.Open != nil {
-		gen := cfg.Open
-		gen.Net = net
-		gen.Eng = machine.Engine
-		gen.Port = 80
-		gen.OnDone = machine.Engine.Stop
-		gen.Start()
-		res, err := machine.Run(iseq)
-		if err != nil {
-			return nil, fmt.Errorf("webrick run: %w", err)
+	open := cfg.Open
+	var closed *netsim.LoadGen
+	if open != nil {
+		open.Net, open.Eng, open.Port, open.OnDone = net, machine.Engine, 80, machine.Engine.Stop
+		defer func() { open.Net, open.Eng, open.OnDone = nil, nil, nil }()
+		open.Start()
+	} else {
+		closed = &netsim.LoadGen{
+			Net:       net,
+			Eng:       machine.Engine,
+			Port:      80,
+			Request:   app.Request,
+			ThinkTime: 10_000,
+			Target:    cfg.Requests,
+			OnDone:    machine.Engine.Stop,
 		}
-		if gen.Resolved() < gen.Generated {
-			return nil, fmt.Errorf("webrick: only %d/%d open-loop requests resolved", gen.Resolved(), gen.Generated)
-		}
-		return &Result{
-			Clients:    gen.Sessions,
-			Completed:  gen.Completed,
-			Cycles:     res.Cycles,
-			Throughput: gen.Throughput(),
-			AbortRatio: res.Stats.AbortRatio(),
-			Stats:      res.Stats,
-			Open:       gen,
-			Res:        rs,
-		}, nil
+		closed.Start(cfg.Clients)
 	}
-
-	gen := &netsim.LoadGen{
-		Net:       net,
-		Eng:       machine.Engine,
-		Port:      80,
-		Request:   Request,
-		ThinkTime: 10_000,
-		Target:    cfg.Requests,
-		OnDone:    machine.Engine.Stop,
-	}
-	gen.Start(cfg.Clients)
 
 	res, err := machine.Run(iseq)
 	if err != nil {
-		return nil, fmt.Errorf("webrick run: %w", err)
+		return nil, fmt.Errorf("%s run: %w", app.Name, err)
 	}
-	if gen.Completed < cfg.Requests {
-		return nil, fmt.Errorf("webrick: only %d/%d requests completed", gen.Completed, cfg.Requests)
-	}
-	return &Result{
-		Clients:    cfg.Clients,
-		Completed:  gen.Completed,
+	out := &Result{
 		Cycles:     res.Cycles,
-		Throughput: gen.Throughput(),
 		AbortRatio: res.Stats.AbortRatio(),
 		Stats:      res.Stats,
+		Open:       open,
 		Res:        rs,
-	}, nil
+	}
+	if open != nil {
+		if open.Resolved() < open.Generated {
+			return nil, fmt.Errorf("%s: only %d/%d open-loop requests resolved", app.Name, open.Resolved(), open.Generated)
+		}
+		out.Clients, out.Completed, out.Throughput = open.Sessions, open.Completed, open.Throughput()
+	} else {
+		if closed.Completed < cfg.Requests {
+			return nil, fmt.Errorf("%s: only %d/%d requests completed", app.Name, closed.Completed, cfg.Requests)
+		}
+		out.Clients, out.Completed, out.Throughput = cfg.Clients, closed.Completed, closed.Throughput()
+	}
+	return out, nil
 }
