@@ -261,9 +261,10 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // BenchmarkInterpreter is a plain interpreter-speed benchmark: simulated
-// bytecodes per host second in single-thread GIL mode.
+// bytecodes per host second, and host nanoseconds per bytecode, in
+// single-thread GIL mode (VM construction and compilation included, as a
+// sweep point pays them).
 func BenchmarkInterpreter(b *testing.B) {
-	m := htmgil.NewMachine(htmgil.ZEC12(), htmgil.ModeGIL)
 	src := `
 x = 0
 i = 0
@@ -273,21 +274,19 @@ while i < 100000
 end
 puts x
 `
-	iseq, err := m.VM.CompileSource(src, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		m2 := htmgil.NewMachine(htmgil.ZEC12(), htmgil.ModeGIL)
-		iseq2, _ := m2.VM.CompileSource(src, "bench")
-		res, err := m2.VM.Run(iseq2)
+		m := htmgil.NewMachine(htmgil.ZEC12(), htmgil.ModeGIL)
+		iseq, err := m.VM.CompileSource(src, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.VM.Run(iseq)
 		if err != nil {
 			b.Fatal(err)
 		}
 		total += res.Stats.Bytecodes
 	}
-	_ = iseq
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "bytecodes/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/bytecode")
 }

@@ -77,6 +77,8 @@ const (
 	OpOptNeg
 	OpDefineMethod // A: symbol, C: child iseq index
 	OpDefineClass  // A: name symbol, B: super symbol or -1, C: child iseq index
+
+	NumOps // number of opcodes; sizes per-opcode tables
 )
 
 // YPKind classifies a yield point.

@@ -23,11 +23,35 @@ func benchDispatch(b *testing.B, threads, ctxs int) {
 
 func BenchmarkStepDispatch(b *testing.B) {
 	for _, shape := range []struct{ threads, ctxs int }{
+		{1, 1}, // solo: what every step cost a lone thread before run-on (BenchmarkRunOn is what it costs now)
 		{4, 4}, {12, 12}, {64, 8}, {256, 8}, {1024, 64}, {1024, 256},
 	} {
 		b.Run(fmt.Sprintf("threads=%d/ctxs=%d", shape.threads, shape.ctxs), func(b *testing.B) {
 			benchDispatch(b, shape.threads, shape.ctxs)
 		})
+	}
+}
+
+// BenchmarkRunOn measures a step boundary a lone thread crosses through
+// Engine.RunOn instead of returning to Run; compare with
+// BenchmarkStepDispatch/threads=1/ctxs=1.
+func BenchmarkRunOn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(Config{HWThreads: 1})
+	left := b.N
+	var th *Thread
+	th = e.Spawn("t", 0, func(now int64) StepResult {
+		for left > 1 {
+			left--
+			if _, ok := e.RunOn(th, 97); !ok {
+				return StepResult{Cycles: 97, Status: Running}
+			}
+		}
+		return StepResult{Cycles: 97, Status: Done}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 

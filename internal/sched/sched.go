@@ -5,11 +5,21 @@
 // cycle sharing. The engine is entirely single-threaded: given the same
 // inputs it produces bit-identical schedules, which makes every experiment
 // in this repository reproducible.
+//
+// Run dispatches one step at a time: the runnable thread that can start
+// earliest (ties: longest waiter, lowest ID), after every timed event due by
+// then. While a single thread is runnable that choice is forced, so its step
+// function may run on into the thread's next step through Engine.RunOn
+// instead of returning. RunOn accounts the finished step exactly as Run
+// would and declines — changing nothing — as soon as Run could do anything
+// else first: a second runnable thread (a Spawn or Wake inside the step
+// included), a timed event due at or before the next start, Stop, ctx
+// dispatch mode, or a Chooser. Either way the schedule is the same.
 package sched
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"htmgil/internal/choice"
@@ -97,19 +107,57 @@ type timedEvent struct {
 	fn  func(now int64)
 }
 
-type eventPQ []*timedEvent
+// eventPQ is a min-heap of timed events ordered by (at, seq). seq is unique,
+// so the order is a strict total order and the pop sequence does not depend
+// on the heap's internal layout.
+type eventPQ []timedEvent
 
-func (q eventPQ) Len() int { return len(q) }
-func (q eventPQ) Less(i, j int) bool {
+func (q eventPQ) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventPQ) Swap(i, j int)     { q[i], q[j] = q[j], q[i] }
-func (q *eventPQ) Push(x any)       { *q = append(*q, x.(*timedEvent)) }
-func (q *eventPQ) Pop() any         { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q eventPQ) peek() *timedEvent { return q[0] }
+
+func (q *eventPQ) push(ev timedEvent) {
+	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event.
+func (q *eventPQ) pop() timedEvent {
+	h := *q
+	ev := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = timedEvent{} // drop the closure reference
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && h.less(r, l) {
+			m = r
+		}
+		if !h.less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	return ev
+}
 
 // Dispatch strategy. The Running threads always live in one flat slice
 // (runList); what varies is how the minimum of the dispatch order —
@@ -280,6 +328,14 @@ type Engine struct {
 	stopped bool
 	nextCtx int
 
+	// horizon bounds run-on (see RunOn): a step may continue into its
+	// thread's next step iff that step would start before it. Run sets it
+	// ahead of a step it dispatched with nothing else runnable — to the
+	// earliest timed event — and to noRunOn ahead of every other step;
+	// whatever could change the next pick mid-step (Spawn, Wake, At, Stop)
+	// only ever lowers it.
+	horizon int64
+
 	// Tracer, when non-nil, receives thread-spawn/thread-done events.
 	Tracer *trace.Recorder
 
@@ -307,7 +363,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.SMTPenalty < 1 {
 		cfg.SMTPenalty = 1
 	}
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, horizon: noRunOn}
 	e.ctxs = make([]*HWContext, cfg.HWThreads)
 	for i := range e.ctxs {
 		e.ctxs[i] = &HWContext{ID: i, heapIdx: -1}
@@ -331,8 +387,11 @@ func NewEngine(cfg Config) *Engine {
 // Contexts returns the hardware-thread contexts.
 func (e *Engine) Contexts() []*HWContext { return e.ctxs }
 
-// Now returns the current virtual time (the start time of the most recent
-// step or timed event).
+// Now returns the current virtual time: the start time of the most recent
+// step (one run on into included) or timed event — not the time that step
+// ends. After Run returns it is therefore the start of the last step, which
+// is what the VM reports as the makespan (vm.RunResult.Cycles); every
+// recorded experiment digest depends on it, so it must stay that way.
 func (e *Engine) Now() int64 { return e.now }
 
 // Spawn creates a thread starting at virtual time startAt, affined
@@ -368,6 +427,7 @@ func (e *Engine) Spawn(name string, startAt int64, step StepFunc) *Thread {
 // (a step's Spawns and Wakes interleave with the stepping thread being
 // temporarily dequeued).
 func (e *Engine) addRunning(th *Thread) {
+	e.horizon = noRunOn // the stepping thread is no longer the only candidate
 	e.run.add(th)
 	if e.ctxMode {
 		c := th.Ctx
@@ -492,7 +552,10 @@ func (e *Engine) setDispatchMode() {
 // At schedules fn to run at virtual time t.
 func (e *Engine) At(t int64, fn func(now int64)) {
 	e.seq++
-	heap.Push(&e.timed, &timedEvent{at: t, seq: e.seq, fn: fn})
+	e.timed.push(timedEvent{at: t, seq: e.seq, fn: fn})
+	if t < e.horizon {
+		e.horizon = t
+	}
 }
 
 // Wake unparks a blocked thread at virtual time t (or the thread's own
@@ -514,7 +577,10 @@ func (e *Engine) Wake(t *Thread, at int64) {
 }
 
 // Stop makes Run return after the current step completes.
-func (e *Engine) Stop() { e.stopped = true }
+func (e *Engine) Stop() {
+	e.stopped = true
+	e.horizon = noRunOn
+}
 
 // Live returns the number of threads that have not finished.
 func (e *Engine) Live() int { return e.live }
@@ -562,20 +628,62 @@ func (e *Engine) Run() error {
 			}
 		}
 		// Fire timed events due before the next step.
-		if len(e.timed) > 0 && (pick == nil || e.timed.peek().at <= pickAt) {
-			ev := heap.Pop(&e.timed).(*timedEvent)
-			if ev.at > e.now {
-				e.now = ev.at
-			}
-			ev.fn(e.now)
+		if len(e.timed) > 0 && (pick == nil || e.timed[0].at <= pickAt) {
+			e.fireTimed()
 			continue
 		}
 		if pick == nil {
 			return fmt.Errorf("sched: deadlock with %d live threads", e.live)
 		}
+		e.horizon = noRunOn
+		if len(e.run.th) == 1 && !e.ctxMode && runOnEnabled {
+			// Solo: the pick stays the pick until a timed event comes due
+			// (or the step itself changes the candidates).
+			e.horizon = math.MaxInt64
+			if len(e.timed) > 0 {
+				e.horizon = e.timed[0].at
+			}
+		}
 		e.execStep(pick, pickAt)
 	}
 	return nil
+}
+
+// noRunOn is the horizon that declines every run-on.
+const noRunOn = math.MinInt64
+
+// runOnEnabled is a variable only so the differential test can force every
+// step back through Run.
+var runOnEnabled = true
+
+// stepEnd returns the virtual time at which a step of the given cost that
+// started at e.now on ctx ends: the cost is stretched (and truncated to
+// whole cycles, per step) while the SMT sibling has live threads.
+func (e *Engine) stepEnd(ctx *HWContext, cost int64) int64 {
+	if sib := ctx.sibling; sib != nil && sib.Busy() {
+		cost = int64(float64(cost) * e.cfg.SMTPenalty)
+	}
+	return e.now + cost
+}
+
+// RunOn lets the step function of th — the thread being stepped — run on
+// into th's next step without returning to Run. The caller has a step of
+// the given cost that leaves th Running; if Run would dispatch th again
+// before anything else (th is the only runnable thread, no timed event is
+// due by the time the step ends, nobody called Stop, no Chooser is
+// installed), RunOn accounts the step exactly as returning it would — the
+// thread's clock, its context's clock and Now all advance to the step's end
+// — and returns that time, at which the caller starts the next step. On
+// ok=false nothing changed and the caller must return its StepResult as
+// usual. Schedules are bit-identical either way; running on only skips the
+// trip through the dispatcher.
+func (e *Engine) RunOn(th *Thread, cycles int64) (next int64, ok bool) {
+	end := e.stepEnd(th.Ctx, cycles)
+	if end >= e.horizon || cycles < 0 {
+		return 0, false
+	}
+	th.Clock, th.Ctx.clock, e.now = end, end, end
+	return end, true
 }
 
 // execStep runs one step of pick starting at pickAt and applies the outcome
@@ -597,14 +705,12 @@ func (e *Engine) execStep(pick *Thread, pickAt int64) {
 	e.now = pickAt
 	pick.Clock = pickAt
 	res := pick.step(pickAt)
-	cost := res.Cycles
-	if cost < 0 {
+	if res.Cycles < 0 {
 		panic("sched: negative step cost")
 	}
-	if e.cfg.SMTWays == 2 && ctx.sibling != nil && ctx.sibling.Busy() {
-		cost = int64(float64(cost) * e.cfg.SMTPenalty)
-	}
-	end := pickAt + cost
+	// The step may have run on: its result is the last step's, which
+	// started at e.now, not at pickAt.
+	end := e.stepEnd(ctx, res.Cycles)
 	pick.Clock = end
 	ctx.clock = end
 	switch res.Status {
@@ -678,7 +784,7 @@ func (e *Engine) runExplore() error {
 			continue
 		}
 		defaultAt := effStart(cands[0])
-		if len(e.timed) > 0 && e.timed.peek().at <= defaultAt {
+		if len(e.timed) > 0 && e.timed[0].at <= defaultAt {
 			// A timed event is due before the preferred thread step: offer
 			// the choice to defer it past one step. Each deferral is one
 			// non-default choice, so bounded exploration terminates.
@@ -699,7 +805,7 @@ func (e *Engine) runExplore() error {
 
 // fireTimed pops and runs the earliest timed event.
 func (e *Engine) fireTimed() {
-	ev := heap.Pop(&e.timed).(*timedEvent)
+	ev := e.timed.pop()
 	if ev.at > e.now {
 		e.now = ev.at
 	}

@@ -61,17 +61,20 @@ func DefaultCosts() Costs {
 	}
 }
 
-// opBaseCost returns the flat extra cost of an opcode (beyond DispatchBase
-// and the dynamic costs added during execution).
-func (c *Costs) opBaseCost(op compile.Op) int64 {
-	switch op {
-	case compile.OpJump, compile.OpBranchIf, compile.OpBranchUnless:
-		return c.Branch
-	case compile.OpPutNil, compile.OpPutTrue, compile.OpPutFalse,
-		compile.OpPutSelf, compile.OpPutInt, compile.OpPutSym,
-		compile.OpPutFloat, compile.OpPop, compile.OpDup:
-		return c.PutLit
-	default:
-		return 0
+// baseCosts returns the flat cost of every opcode — DispatchBase plus the
+// per-class extra — as the table the dispatcher indexes; the dynamic costs
+// are added during execution.
+func (c *Costs) baseCosts() (tab [compile.NumOps]int64) {
+	for op := range tab {
+		tab[op] = c.DispatchBase
+		switch compile.Op(op) {
+		case compile.OpJump, compile.OpBranchIf, compile.OpBranchUnless:
+			tab[op] += c.Branch
+		case compile.OpPutNil, compile.OpPutTrue, compile.OpPutFalse,
+			compile.OpPutSelf, compile.OpPutInt, compile.OpPutSym,
+			compile.OpPutFloat, compile.OpPop, compile.OpDup:
+			tab[op] += c.PutLit
+		}
 	}
+	return tab
 }

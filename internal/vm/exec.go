@@ -12,13 +12,12 @@ import (
 	"htmgil/internal/simmem"
 )
 
-// dispatch executes the instruction at the top frame's pc.
-func (t *RThread) dispatch(now int64) sched.StepResult {
+// dispatch executes in, the instruction at f's pc; f must be the top frame
+// (see RThread.top).
+func (t *RThread) dispatch(f *Frame, in *compile.Instr, now int64) sched.StepResult {
 	v := t.vm
 	c := &v.Costs
-	f := &t.frames[len(t.frames)-1]
-	in := &f.iseq.Code[f.pc]
-	cycles := c.DispatchBase + c.opBaseCost(in.Op)
+	cycles := v.opCost[in.Op]
 	t.stats.Bytecodes++
 	// Objects allocated by the previous instruction are reachable from
 	// program state now; release the temporary pins.
@@ -36,7 +35,13 @@ func (t *RThread) dispatch(now int64) sched.StepResult {
 		}
 	}
 
-	extra, err := t.execGuarded(f, in, now)
+	var extra int64
+	var err error
+	if t.inSTx() {
+		extra, err = t.execGuarded(f, in, now)
+	} else {
+		extra, err = t.exec(f, in, now)
+	}
 	cycles += extra
 	switch err {
 	case nil:
@@ -81,25 +86,24 @@ func (t *RThread) dispatch(now int64) sched.StepResult {
 	return sched.StepResult{Cycles: cycles, Status: sched.Running}
 }
 
-// execGuarded runs one instruction, converting the software tier's
-// doom-on-inconsistent-read panic (occ.ErrDoomed) into errRedo: the
-// transaction is already doomed, so the doom check at the next step rolls
-// everything — operand stack, locals, frames, pc — back to the checkpoint
-// and retries. The partial instruction's speculative writes were buffered
-// in the write log and its private-state mutations are in the undo log, so
-// unwinding mid-instruction leaves no residue.
+// execGuarded runs one instruction of a software (OCC) transaction,
+// converting the tier's doom-on-inconsistent-read panic (occ.ErrDoomed) into
+// errRedo: the transaction is already doomed, so the doom check at the next
+// step rolls everything — operand stack, locals, frames, pc — back to the
+// checkpoint and retries. The partial instruction's speculative writes were
+// buffered in the write log and its private-state mutations are in the undo
+// log, so unwinding mid-instruction leaves no residue. Nothing else panics
+// with that sentinel, so dispatch calls exec directly outside the tier.
 func (t *RThread) execGuarded(f *Frame, in *compile.Instr, now int64) (cycles int64, err error) {
-	if t.inSTx() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r == occ.ErrDoomed {
-					err = errRedo
-					return
-				}
-				panic(r)
+	defer func() {
+		if r := recover(); r != nil {
+			if r == occ.ErrDoomed {
+				err = errRedo
+				return
 			}
-		}()
-	}
+			panic(r)
+		}
+	}()
 	return t.exec(f, in, now)
 }
 

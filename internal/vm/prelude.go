@@ -41,7 +41,8 @@ func (v *VM) runSetup(iseq *compile.ISeq) error {
 		if i > 50_000_000 {
 			return fmt.Errorf("vm: setup execution did not terminate")
 		}
-		res := t.dispatch(0)
+		f, in := t.top()
+		res := t.dispatch(f, in, 0)
 		if res.Status != 0 { // sched.Running
 			if t.resume == rsFinish {
 				return nil

@@ -77,17 +77,47 @@ func (t *RThread) step(now int64) sched.StepResult {
 		}
 	case rsNativeRetry:
 		t.resume = rsDispatch
-		return t.dispatch(now)
+		f, in := t.top()
+		return t.dispatch(f, in, now)
 	case rsFinish:
 		return t.finishThread(now)
 	}
 
-	// Doomed transactions (either tier) abort at their next instruction
-	// boundary.
-	if t.txDoomed(now) {
-		return t.doAbort(now)
+	// The frame and its code stay in hand across the bytecodes that leave
+	// t.frames alone.
+	epoch := t.frameEpoch
+	f := &t.frames[len(t.frames)-1]
+	code := f.iseq.Code
+	for {
+		// Doomed transactions (either tier) abort at their next instruction
+		// boundary.
+		if t.txDoomed(now) {
+			return t.doAbort(now)
+		}
+		res := t.dispatch(f, &code[f.pc], now)
+		// Run on into the next bytecode when the next step would be this loop
+		// again (everything above it a no-op) and the engine would pick this
+		// thread again anyway; see sched.Engine.RunOn.
+		if res.Status != sched.Running || t.resume != rsDispatch || t.waitPending || v.fatalErr != nil {
+			return res
+		}
+		next, ok := v.Engine.RunOn(t.sth, res.Cycles)
+		if !ok {
+			return res
+		}
+		now = next
+		if t.frameEpoch != epoch {
+			epoch = t.frameEpoch
+			f = &t.frames[len(t.frames)-1]
+			code = f.iseq.Code
+		}
 	}
-	return t.dispatch(now)
+}
+
+// top returns the running frame and the instruction at its pc.
+func (t *RThread) top() (*Frame, *compile.Instr) {
+	f := &t.frames[len(t.frames)-1]
+	return f, &f.iseq.Code[f.pc]
 }
 
 // rootAcquire acquires the global (root) GIL, honoring the sharded

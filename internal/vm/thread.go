@@ -97,6 +97,10 @@ type RThread struct {
 	frames []Frame
 	stack  []object.Value
 	sp     int32
+	// frameEpoch counts the changes to frames (push, pop, rollback): the
+	// step loop holds the top frame and its code across bytecodes and
+	// re-reads them when this moved.
+	frameEpoch uint32
 
 	// Transaction-private-state checkpoint and undo log.
 	logging  bool
@@ -267,15 +271,15 @@ func (t *RThread) pushEntry(iseq *compile.ISeq, self object.Value, parentEnv obj
 }
 
 // inTx reports whether the thread currently runs inside a hardware
-// transaction.
+// transaction. (Only ModeHTM threads have a tle.)
 func (t *RThread) inTx() bool {
-	return t.vm.Opt.Mode == ModeHTM && t.tle != nil && !t.tle.GILMode && t.hctx.InTx()
+	return t.tle != nil && !t.tle.GILMode && t.hctx.InTx()
 }
 
 // inSTx reports whether the thread currently runs inside a software (OCC)
 // transaction.
 func (t *RThread) inSTx() bool {
-	return t.vm.Opt.Mode == ModeHTM && t.tle != nil && t.tle.OCCMode
+	return t.tle != nil && t.tle.OCCMode
 }
 
 // inAnyTx reports whether the thread runs inside a transaction of either
@@ -400,6 +404,7 @@ func (t *RThread) rollbackPrivate() {
 		t.logging = false
 		return
 	}
+	t.frameEpoch++
 	for i := len(t.log) - 1; i >= 0; i-- {
 		e := &t.log[i]
 		switch e.kind {
@@ -486,6 +491,7 @@ func (t *RThread) pushFrame(iseq *compile.ISeq, self object.Value, parentEnv obj
 		t.log = append(t.log, undoEntry{kind: uPush})
 	}
 	t.frames = append(t.frames, f)
+	t.frameEpoch++
 	// Stack-shadow write: frames occupy real memory whose lines join the
 	// transaction footprint.
 	depth := len(t.frames) - 1
@@ -506,6 +512,7 @@ func (t *RThread) popFrame() bool {
 		t.log = append(t.log, undoEntry{kind: uPop, a: callerPC, frame: &saved})
 	}
 	t.frames = t.frames[:top]
+	t.frameEpoch++
 	return top > 0
 }
 

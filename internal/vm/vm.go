@@ -194,7 +194,8 @@ type VM struct {
 	Syms    *object.SymTable
 	YPs     *compile.YPAlloc
 	Comp    *compile.Compiler
-	Costs   Costs
+	Costs   Costs                 // fixed at New: opCost is derived from it there
+	opCost  [compile.NumOps]int64 // Costs.baseCosts(), indexed by opcode
 
 	consts  map[object.SymID]object.Value
 	globals map[object.SymID]simmem.Addr
@@ -270,6 +271,7 @@ func New(opt Options) *VM {
 		icBases: make(map[*compile.ISeq]simmem.Addr),
 		floats:  make(map[*compile.ISeq][]object.Value),
 	}
+	v.opCost = v.Costs.baseCosts()
 	v.Comp = compile.New(v.Syms, v.YPs)
 	v.Mem = simmem.NewMemory(simmem.Config{LineBytes: opt.Prof.LineBytes}, maxContexts)
 	v.Engine = sched.NewEngine(sched.Config{
@@ -560,7 +562,10 @@ func (v *VM) CompileSource(src, name string) (*compile.ISeq, error) {
 
 // RunResult summarizes a completed run.
 type RunResult struct {
-	Cycles int64  // virtual makespan
+	// Cycles is the virtual makespan: Engine.Now when the run ended, which
+	// is the start time of the last step, not its end. Every recorded
+	// digest pins this value.
+	Cycles int64
 	Output string // program output
 	Stats  *Stats
 }
