@@ -73,7 +73,7 @@ func TestPoliciesUnderSpuriousStorm(t *testing.T) {
 // the retry budget must exhaust and sections must complete under the GIL.
 func TestSpuriousStormForcesFallbacks(t *testing.T) {
 	prof := htm.ZEC12()
-	r := newRig(t, prof, DefaultParams(prof), 4)
+	r := newRig(t, prof, 4)
 	inj := fault.NewInjector(mustSpec(t, "spurious=500"), 1, nil)
 	const iters = 100
 	for i := 0; i < 4; i++ {
@@ -98,7 +98,7 @@ func TestSpuriousStormForcesFallbacks(t *testing.T) {
 func TestDeterministicChaosRun(t *testing.T) {
 	prof := htm.ZEC12()
 	run := func() (uint64, uint64, uint64, uint64) {
-		r := newRig(t, prof, DefaultParams(prof), 4)
+		r := newRig(t, prof, 4)
 		inj := fault.NewInjector(mustSpec(t, "spurious=4000,capjitter=0.3:0.2"), 7, nil)
 		for i := 0; i < 4; i++ {
 			r.worker(t, prof, i, 300, 0, 0).Faults = inj.HTMContext(i)
@@ -148,7 +148,7 @@ func TestBreakerStormAcceptance(t *testing.T) {
 	}
 	run := func() result {
 		prof := htm.ZEC12()
-		r := newRig(t, prof, DefaultParams(prof), nthreads)
+		r := newRig(t, prof, nthreads)
 		r.el.Breaker = NewBreaker(BreakerConfig{
 			Window: 32, TripFallbacks: 24, CooldownCycles: 50_000, ProbeTarget: 8,
 		})
@@ -216,7 +216,7 @@ func TestBreakerStormAcceptance(t *testing.T) {
 func TestBreakerOpenRoutesAroundPolicy(t *testing.T) {
 	prof := htm.ZEC12()
 	agg := trace.NewAggregator()
-	r := newRig(t, prof, DefaultParams(prof), 2)
+	r := newRig(t, prof, 2)
 	r.el.Tracer = trace.NewRecorder(agg)
 	b := NewBreaker(BreakerConfig{Window: 8, TripFallbacks: 6, CooldownCycles: 1 << 60, ProbeTarget: 2})
 	r.el.Breaker = b

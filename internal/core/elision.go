@@ -15,6 +15,8 @@
 // after an abort) are expressed as a small per-thread state machine:
 // TransactionBegin/HandleAbort return Block when the thread must park, and
 // ResumeBegin continues the algorithm after the scheduler wakes the thread.
+// There is one such machine for hardware elision, the software-transaction
+// tier and the fallback locks (root or shard); DESIGN.md §3 tabulates it.
 package core
 
 import (
@@ -29,14 +31,6 @@ import (
 	"htmgil/internal/simmem"
 	"htmgil/internal/trace"
 )
-
-// Params are the tuning constants of Figures 1 and 3. They live in
-// internal/policy now; the alias keeps the historical core API.
-type Params = policy.Params
-
-// DefaultParams returns the paper's constants for the given machine profile
-// (the adjustment threshold differs between zEC12 and Xeon).
-func DefaultParams(prof *htm.Profile) Params { return policy.DefaultParams(prof) }
 
 // Outcome tells the interpreter how to continue after a TLE step.
 type Outcome uint8
@@ -54,12 +48,17 @@ const (
 type beginState uint8
 
 const (
-	stIdle         beginState = iota
-	stWaitPreTx               // parked at lines 6-8, waiting for GIL release
-	stWaitRetry               // parked after an abort (GIL spin or backoff)
-	stWaitAcquire             // parked in gil_acquire; wakes owning the GIL
-	stWaitRetryOCC            // parked after a software-tier abort; re-begins in the tier
+	stIdle        beginState = iota
+	stWaitPreTx              // parked at lines 6-8, waiting for GIL release
+	stWaitRetry              // parked after an abort (lock spin or backoff); re-begins in the same tier
+	stWaitAcquire            // parked acquiring Thread.lock; a handoff wake owns it
 )
+
+// tierKinds names each speculative tier's lifecycle events.
+var tierKinds = [...]struct{ begin, abort, commit trace.Kind }{
+	policy.TierHTM: {trace.KindTxBegin, trace.KindTxAbort, trace.KindTxCommit},
+	policy.TierOCC: {trace.KindOCCBegin, trace.KindOCCAbort, trace.KindOCCCommit},
+}
 
 // Thread is the per-Ruby-thread TLE state.
 type Thread struct {
@@ -72,12 +71,11 @@ type Thread struct {
 	// PS is the policy's per-thread state (retry budgets, backoff ladders).
 	PS policy.ThreadState
 
-	// GILMode is true while the current critical section runs under the
-	// GIL instead of a transaction (fallback path).
+	// GILMode and OCCMode encode the tier of the current critical section:
+	// GILMode while it holds a fallback lock, OCCMode while it runs (or is
+	// parked between an abort and its retry) in the software-transaction
+	// tier, neither in hardware elision. Only this package writes them.
 	GILMode bool
-
-	// OCCMode is true while the current critical section runs in the
-	// software-transaction tier.
 	OCCMode bool
 
 	// ChosenLength is the transaction length selected by the most recent
@@ -95,14 +93,11 @@ type Thread struct {
 	pc    int
 	lazy  bool // current section runs with lazy GIL subscription
 
-	// heldShard is the shard whose GIL this thread holds while GILMode is
-	// set (-1: the root GIL). wantShard is the lock targeted by an
-	// in-flight blocked acquisition. abortShard remembers which shard's
-	// held lock triggered the most recent explicit abort (-1: the root),
-	// so HandleAbort spins on the right lock.
-	heldShard  int
-	wantShard  int
-	abortShard int
+	// lock is the one fallback lock the section is concerned with: the lock
+	// it holds while GILMode is set, the target of a blocked acquisition
+	// (stWaitAcquire), and — inside a hardware attempt — the shard lock whose
+	// held word made TouchShard abort it (nil: none, the root is at fault).
+	lock *gil.GIL
 
 	// LastAbortCause is the cause of the most recent abort (stats).
 	LastAbortCause simmem.AbortCause
@@ -111,6 +106,14 @@ type Thread struct {
 // InCriticalSection reports whether the thread currently runs Ruby code
 // (transactionally or under the GIL).
 func (t *Thread) InCriticalSection() bool { return t.GILMode || t.OCCMode || t.HTM.InTx() }
+
+// tier returns the speculative tier of the current section.
+func (t *Thread) tier() policy.Tier {
+	if t.OCCMode {
+		return policy.TierOCC
+	}
+	return policy.TierHTM
+}
 
 // DeadlineSource reports the absolute-deadline budget of the request a
 // scheduler thread is currently serving. Implemented by
@@ -152,10 +155,11 @@ type Elision struct {
 	// the policy uses the tier (set by the VM after construction).
 	OCCRT *occ.Runtime
 
-	// Sharded, when non-nil, is the multi-GIL coordinator of the sharded
-	// keyspace mode: single-shard critical sections fall back to their
-	// shard's GIL, cross-shard ones to the root. Attached by the VM via
-	// AttachSharded; GIL remains the root lock either way.
+	// Sharded is the fallback-lock coordinator, always present: the root GIL
+	// plus one GIL per keyspace shard. Single-shard critical sections fall
+	// back to their shard's lock, everything else to the root. With zero
+	// shards (the default) it is the bare GIL; the VM swaps in a sharded one
+	// via AttachSharded. GIL remains the root lock either way.
 	Sharded *gil.Sharded
 
 	// Stats
@@ -181,7 +185,7 @@ type Elision struct {
 
 // NewWithPolicy creates the TLE runtime driven by an arbitrary policy.
 func NewWithPolicy(p policy.Policy, g *gil.GIL, engine *sched.Engine) *Elision {
-	if (policy.UsesLazySubscription(p) || policy.UsesOCCTier(p)) && g != nil {
+	if policy.UsesLazySubscription(p) || policy.UsesOCCTier(p) {
 		// Both lazy subscription and the software tier read memory while a
 		// GIL holder may be mid-section; the hazard window models the
 		// resulting unsafe-read dooms.
@@ -191,21 +195,24 @@ func NewWithPolicy(p policy.Policy, g *gil.GIL, engine *sched.Engine) *Elision {
 		Policy:    p,
 		GIL:       g,
 		Engine:    engine,
+		Sharded:   gil.NewSharded(g, 0),
 		curThread: -1,
 	}
 }
 
 // NewThread creates the TLE state for one Ruby thread bound to an HTM
-// context.
+// context. A policy that uses the software tier needs OCCRT set first.
 func (e *Elision) NewThread(ctx *htm.Context) *Thread {
-	t := &Thread{HTM: ctx, PS: e.Policy.NewThread(), heldShard: -1, wantShard: -1, abortShard: -1}
+	t := &Thread{HTM: ctx, PS: e.Policy.NewThread()}
 	if e.OCCRT != nil {
 		t.OCC = e.OCCRT.NewTx(ctx.Tx.ID())
+	} else if policy.UsesOCCTier(e.Policy) {
+		panic(fmt.Sprintf("core: policy %s uses the software tier but Elision.OCCRT is nil", e.Policy.Name()))
 	}
 	return t
 }
 
-// AttachSharded switches the runtime into sharded-GIL mode. s.Root must be
+// AttachSharded replaces the zero-shard coordinator with s. s.Root must be
 // the GIL this Elision was built with.
 func (e *Elision) AttachSharded(s *gil.Sharded) {
 	if s.Root != e.GIL {
@@ -220,9 +227,10 @@ func (e *Elision) AttachSharded(s *gil.Sharded) {
 // transaction to that shard's lock word (aborting immediately when it is
 // held — the per-shard analogue of Figure 1 line 15), extends a software
 // transaction's commit-blocking set, and — under a shard GIL — counts a
-// cross-shard leak when s is not the held shard. No-op when unsharded.
+// cross-shard leak when s is not the held shard. No-op for shards the
+// coordinator does not have (every shard, when unsharded).
 func (e *Elision) TouchShard(t *Thread, s int) {
-	if e.Sharded == nil || s < 0 || s >= len(e.Sharded.Shards) {
+	if s < 0 || s >= len(e.Sharded.Shards) {
 		return
 	}
 	bit := uint64(1) << uint(s)
@@ -230,9 +238,10 @@ func (e *Elision) TouchShard(t *Thread, s int) {
 		return
 	}
 	t.ShardMask |= bit
+	lock := e.Sharded.Shards[s]
 	switch {
 	case t.GILMode:
-		if t.heldShard >= 0 && t.heldShard != s {
+		if t.lock != e.GIL && t.lock != lock {
 			e.CrossShardLeaks++
 		}
 	case t.OCCMode:
@@ -242,9 +251,8 @@ func (e *Elision) TouchShard(t *Thread, s int) {
 		if t.HTM.Tx.Doomed() {
 			return // keep the original doom cause/addr for attribution
 		}
-		w := t.HTM.Tx.Load(e.Sharded.Shards[s].Addr)
-		if w.Bits != 0 {
-			t.abortShard = s
+		if t.HTM.Tx.Load(lock.Addr).Bits != 0 {
+			t.lock = lock
 			t.HTM.ExplicitAbort()
 		}
 	}
@@ -277,13 +285,9 @@ func (e *Elision) DeadlineRemaining() (int64, bool) {
 // EmitLenAdjust implements policy.Runtime: one length attenuation.
 func (e *Elision) EmitLenAdjust(pc int, oldLen, newLen int32) {
 	e.Adjustments++
-	if e.Tracer != nil {
-		ev := trace.Ev(e.Now(), trace.KindLenAdjust)
-		ev.PC = pc
-		ev.OldLen = oldLen
-		ev.Len = newLen
-		e.Tracer.Emit(ev)
-	}
+	ev := trace.Ev(e.Now(), trace.KindLenAdjust)
+	ev.PC, ev.OldLen, ev.Len = pc, oldLen, newLen
+	e.Tracer.Emit(ev) // nil-safe; attenuations are rare
 }
 
 // sthID returns a scheduler thread's id for event attribution, -1 when the
@@ -295,27 +299,51 @@ func sthID(sth *sched.Thread) int {
 	return sth.ID
 }
 
+// emit sends one tx lifecycle event of t's section. Every kind carries the
+// context, thread and yield point; begins add the chosen length, fallbacks
+// the reason (note) and the target lock's shard, aborts the cause and — for
+// a hardware conflict — the region of the doom address.
+func (e *Elision) emit(kind trace.Kind, t *Thread, sth *sched.Thread, now int64, note string, doomAddr simmem.Addr) {
+	if e.Tracer == nil {
+		return
+	}
+	ev := trace.Ev(now, kind)
+	ev.Ctx, ev.Thread, ev.PC = t.HTM.Tx.ID(), sthID(sth), t.pc
+	switch kind {
+	case trace.KindTxBegin, trace.KindOCCBegin:
+		ev.Len = t.ChosenLength
+	case trace.KindGILFallback:
+		ev.Note, ev.Shard = note, t.lock.ShardID
+	case trace.KindTxAbort, trace.KindOCCAbort:
+		ev.Cause = t.LastAbortCause.String()
+		if kind == trace.KindTxAbort && t.LastAbortCause == simmem.CauseConflict {
+			ev.Region = t.HTM.Mem.RegionLabel(doomAddr)
+		}
+	}
+	e.Tracer.Emit(ev)
+}
+
 // TransactionBegin opens a critical section at yield point pc, asking the
 // policy whether to elide. On Proceed the thread either runs inside a fresh
-// transaction (t.GILMode false) or holds the GIL (t.GILMode true). On Block
-// the thread must park and call ResumeBegin when woken.
+// transaction of the tier GILMode/OCCMode name or holds a fallback lock
+// (t.GILMode true). On Block the thread must park and call ResumeBegin when
+// woken.
 func (e *Elision) TransactionBegin(t *Thread, sth *sched.Thread, now int64, pc int) (int64, Outcome) {
 	if t.state != stIdle {
 		panic(fmt.Sprintf("core: TransactionBegin in state %d", t.state))
 	}
 	t.pc = pc
 	t.ShardMask = 0 // fresh section: direct-to-GIL paths must route to the root
+	t.lazy = false
 	e.curThread = sthID(sth)
 	if !e.Breaker.Allow(now) {
 		// Open breaker: GIL-only, and the forced fallback stays out of
 		// the breaker's own outcome window.
-		t.lazy = false
 		return e.acquireGIL(t, sth, now, BreakerReason, false)
 	}
 	live := e.LiveAppThreads()
 	d := e.Policy.OnBegin(e, t.PS, pc, live)
 	if !d.Elide {
-		t.lazy = false
 		// Single-threaded phases take the GIL by design, and deadline
 		// downgrades are the request's clock running out, not elision
 		// failing; recording either as fallbacks would trip the breaker
@@ -324,176 +352,126 @@ func (e *Elision) TransactionBegin(t *Thread, sth *sched.Thread, now int64, pc i
 			live > 1 && d.Reason != policy.DeadlineReason)
 	}
 	t.ChosenLength = d.Length
-	if d.OCC {
-		// Software tier: no GIL pre-wait — an OCC transaction runs
-		// concurrently with a GIL holder and resolves against it at
-		// read (hazard window) and commit (BlockCommit) time.
-		t.lazy = false
-		return e.beginOCC(t, sth, now)
-	}
-	t.lazy = d.Lazy
+	// Software tier: never lazy, and no GIL pre-wait — an OCC transaction
+	// runs concurrently with a GIL holder and resolves against it at read
+	// (hazard window) and commit (BlockCommit) time.
+	t.OCCMode = d.OCC
+	t.lazy = d.Lazy && !d.OCC
 	// Lines 6-8 of Figure 1: wait until the GIL is free before beginning.
 	// Lazy subscription skips the wait along with the subscription: a held
 	// GIL is only discovered at commit.
-	if !t.lazy && e.GIL.Acquired() {
+	if !t.OCCMode && !t.lazy && e.GIL.Acquired() {
 		e.GIL.WaitFree(sth)
 		t.state = stWaitPreTx
 		return 2, Block
 	}
-	return e.tryBegin(t, sth, now)
+	return e.begin(t, sth, now)
 }
 
-// tryBegin issues TBEGIN and, unless the section is lazy, subscribes to the
-// GIL word (lines 13-15 of Figure 1).
-func (e *Elision) tryBegin(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
+// begin issues the section's speculative attempt in the tier OCCMode names:
+// a software-transaction begin, or TBEGIN plus — unless the section is lazy —
+// the subscription to the GIL word (lines 13-15 of Figure 1). A transaction
+// doomed during begin (learning model, immediate GIL conflict) is detected
+// by the interpreter's doom check right after this returns, which routes
+// into HandleAbort.
+func (e *Elision) begin(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
 	t.ShardMask = 0 // retry attempts re-accumulate their shard footprint
-	t.abortShard = -1
-	cycles := t.HTM.Begin(now)
-	if e.Tracer != nil {
-		ev := trace.Ev(now, trace.KindTxBegin)
-		ev.Ctx = t.HTM.Tx.ID()
-		ev.Thread = sthID(sth)
-		ev.PC = t.pc
-		ev.Len = t.ChosenLength
-		e.Tracer.Emit(ev)
-	}
-	if !t.lazy {
-		w := t.HTM.Tx.Load(e.GIL.Addr)
-		if w.Bits != 0 {
-			// Line 15: the GIL was grabbed between our check and TBEGIN.
-			t.HTM.ExplicitAbort()
-		}
-	}
+	t.lock = nil
 	t.state = stIdle
-	t.GILMode = false
-	return cycles, Proceed
-	// A transaction doomed during Begin (learning model, immediate GIL
-	// conflict) is detected by the interpreter's doom check right after
-	// this returns, which routes into HandleAbort.
-}
-
-// beginOCC opens the critical section in the software-transaction tier.
-func (e *Elision) beginOCC(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
-	if t.OCC == nil {
-		// The policy asked for the tier but the runtime lacks it
-		// (defensive; the VM creates OCCRT for every UsesOCCTier policy).
-		return e.acquireGIL(t, sth, now, "occ-unavailable", false)
+	var cycles int64
+	if t.OCCMode {
+		cycles = t.OCC.Begin()
+	} else {
+		cycles = t.HTM.Begin(now)
 	}
-	t.ShardMask = 0
-	cycles := t.OCC.Begin()
-	if e.Tracer != nil {
-		ev := trace.Ev(now, trace.KindOCCBegin)
-		ev.Ctx = t.HTM.Tx.ID()
-		ev.Thread = sthID(sth)
-		ev.PC = t.pc
-		ev.Len = t.ChosenLength
-		e.Tracer.Emit(ev)
+	e.emit(tierKinds[t.tier()].begin, t, sth, now, "", 0)
+	if !t.OCCMode && !t.lazy && t.HTM.Tx.Load(e.GIL.Addr).Bits != 0 {
+		// Line 15: the GIL was grabbed between our check and TBEGIN.
+		t.HTM.ExplicitAbort()
 	}
-	t.state = stIdle
-	t.GILMode = false
-	t.OCCMode = true
 	return cycles, Proceed
 }
 
-// acquireGIL performs gil_acquire, blocking when contended. reason records
-// why the critical section fell back to the GIL (stats and tracing); every
-// entry here is one fallback, counted once even when the acquisition blocks
-// (ResumeBegin does not re-enter). record marks fallbacks that should enter
-// the circuit breaker's outcome window.
+// acquireGIL takes the section out of the speculative tiers and performs
+// gil_acquire, blocking when contended. reason records why the critical
+// section fell back (stats and tracing); every entry here is one fallback,
+// counted once even when the acquisition blocks (ResumeBegin does not
+// re-enter). record marks fallbacks that should enter the circuit breaker's
+// outcome window.
 //
-// In sharded mode a section whose aborted attempt touched exactly one
-// keyspace shard is routed to that shard's GIL, with the section forced to a
-// single yield interval (one statement) so the hold provably covers only
-// accesses the shard word serializes; everything else takes the root.
+// A section whose aborted attempt touched exactly one keyspace shard is
+// routed to that shard's GIL, with the section forced to a single yield
+// interval (one statement) so the hold provably covers only accesses the
+// shard word serializes; everything else takes the root.
 func (e *Elision) acquireGIL(t *Thread, sth *sched.Thread, now int64, reason string, record bool) (int64, Outcome) {
 	e.Fallbacks++
-	target := -1
-	if e.Sharded != nil && t.ShardMask != 0 && t.ShardMask&(t.ShardMask-1) == 0 {
-		target = bits.TrailingZeros64(t.ShardMask)
+	t.OCCMode = false
+	t.lock = e.GIL
+	if m := t.ShardMask; m != 0 && m&(m-1) == 0 {
+		s := bits.TrailingZeros64(m)
+		t.lock = e.Sharded.Shards[s]
 		t.ChosenLength = 1
-		e.ShardFallbacks[target]++
+		e.ShardFallbacks[s]++
 	}
-	t.wantShard = target
 	if record {
 		e.Breaker.RecordFallback(now)
 	}
-	if e.Tracer != nil {
-		ev := trace.Ev(now, trace.KindGILFallback)
-		ev.Ctx = t.HTM.Tx.ID()
-		ev.Thread = sthID(sth)
-		ev.PC = t.pc
-		ev.Note = reason
-		ev.Shard = target + 1
-		e.Tracer.Emit(ev)
+	e.emit(trace.KindGILFallback, t, sth, now, reason, 0)
+	return e.lockAcquire(t, sth, now)
+}
+
+// ReacquireRoot takes the root lock again for a thread coming back from a
+// blocking native that dropped its lock through ReleaseLock (CRuby
+// semantics). Blocking natives run interpreter-level synchronization, never
+// a shard section, and their return is not a fallback: no accounting, no
+// event. On Block the thread parks and continues through ResumeBegin.
+func (e *Elision) ReacquireRoot(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
+	t.lock = e.GIL
+	return e.lockAcquire(t, sth, now)
+}
+
+// lockAcquire (re)runs the acquisition of t.lock through the coordinator.
+// Block means the thread parked — as a waiter of the lock, or on the gate or
+// drain queue of the lock hierarchy — and must call ResumeBegin when woken.
+func (e *Elision) lockAcquire(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
+	var cycles int64
+	var ok bool
+	if s := t.lock.ShardID; s > 0 {
+		cycles, ok = e.Sharded.AcquireShard(sth, s-1, now)
+	} else {
+		cycles, ok = e.Sharded.AcquireRoot(sth, now)
 	}
-	cycles, ok := e.lockAcquire(t, sth, now)
 	if !ok {
 		t.state = stWaitAcquire
 		return 0, Block
 	}
 	t.state = stIdle
 	t.GILMode = true
-	t.heldShard = target
 	return cycles, Proceed
-}
-
-// lockAcquire (re)runs the fallback-lock acquisition targeted by
-// t.wantShard. ok=false means the thread parked (as a lock waiter, or on the
-// sharded gate/drain queues) and must retry from ResumeBegin when woken.
-func (e *Elision) lockAcquire(t *Thread, sth *sched.Thread, now int64) (int64, bool) {
-	if e.Sharded == nil {
-		return e.GIL.BlockingAcquire(sth, now)
-	}
-	if t.wantShard >= 0 {
-		return e.Sharded.AcquireShard(sth, t.wantShard, now)
-	}
-	return e.Sharded.AcquireRoot(sth, now)
 }
 
 // ResumeBegin continues the Figure 1 state machine after a wake-up.
 func (e *Elision) ResumeBegin(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
 	switch t.state {
-	case stWaitRetryOCC:
-		// The GIL was released (or the backoff expired); re-run the
-		// section in the software tier.
-		return e.beginOCC(t, sth, now)
 	case stWaitPreTx, stWaitRetry:
-		// The GIL was released while we spun (or the backoff expired);
-		// begin (or re-begin) the transaction. If the GIL was re-acquired
-		// in the meantime the TBEGIN subscription aborts us and we come
-		// back through HandleAbort.
-		return e.tryBegin(t, sth, now)
+		// The lock was released while we spun (or the backoff expired);
+		// begin (or re-begin) the attempt. If the GIL was re-acquired in the
+		// meantime the TBEGIN subscription aborts us and we come back
+		// through HandleAbort.
+		return e.begin(t, sth, now)
 	case stWaitAcquire:
-		if e.Sharded == nil {
-			// Woken by the GIL handoff: we own the lock.
-			if !e.GIL.HeldBy(sth) {
-				panic("core: woke from gil_acquire without ownership")
-			}
+		// A handoff wake owns the lock. A wake off the gate or drain queue
+		// owns nothing and re-runs the acquisition (the hierarchy re-checks;
+		// see gil.Sharded) — queues that exist only with shards.
+		if t.lock.HeldBy(sth) {
 			t.state = stIdle
 			t.GILMode = true
 			return 0, Proceed
 		}
-		// Sharded mode: a handoff wake owns the target lock, but a wake
-		// from the gate/drain queues owns nothing and retries (the
-		// hierarchy re-checks; see gil.Sharded).
-		lock := e.Sharded.Root
-		if t.wantShard >= 0 {
-			lock = e.Sharded.Shards[t.wantShard]
+		if len(e.Sharded.Shards) == 0 {
+			panic("core: woke from gil_acquire without ownership")
 		}
-		if !lock.HeldBy(sth) {
-			cycles, ok := e.lockAcquire(t, sth, now)
-			if !ok {
-				return 0, Block // still stWaitAcquire
-			}
-			t.state = stIdle
-			t.GILMode = true
-			t.heldShard = t.wantShard
-			return cycles, Proceed
-		}
-		t.state = stIdle
-		t.GILMode = true
-		t.heldShard = t.wantShard
-		return 0, Proceed
+		return e.lockAcquire(t, sth, now)
 	default:
 		panic(fmt.Sprintf("core: ResumeBegin in state %d", t.state))
 	}
@@ -504,64 +482,56 @@ func (e *Elision) ResumeBegin(t *Thread, sth *sched.Thread, now int64) (int64, O
 // beginning of the transaction. Outcomes are as for TransactionBegin.
 func (e *Elision) HandleAbort(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
 	e.curThread = sthID(sth)
-	if t.OCCMode {
-		return e.handleOCCAbort(t, sth, now)
-	}
-	doomAddr := t.HTM.Tx.DoomAddr() // Rollback clears it; read first
-	cause, penalty := t.HTM.Abort()
-	t.LastAbortCause = cause
-	// relevant is the lock this abort is about: in sharded mode a conflict
-	// on a shard's lock word (or an explicit abort on finding one held)
-	// points at that shard's GIL; everything else points at the root.
-	relevant := e.GIL
-	if e.Sharded != nil {
-		switch cause {
+	// Per-tier head: finish the abort and find the lock it is about, whether
+	// that lock is held, and whether the abort is a lock artifact — caused by
+	// *other* sections running under a lock, not by this section's own
+	// inability to elide. Feeding artifacts to the breaker would make
+	// open-state GIL traffic doom every half-open probe and latch the breaker
+	// open, so only root-cause fallbacks (data conflict, capacity, spurious,
+	// ...) enter its outcome window.
+	tier := t.tier()
+	lock, artifact := e.GIL, false
+	var held bool
+	var penalty int64
+	var doomAddr simmem.Addr
+	if tier == policy.TierOCC {
+		// A commit refused under a held lock; the lock may be a shard GIL
+		// from the section's touch mask rather than the root.
+		artifact = t.OCC.GILBlocked() // Rollback clears it; read first
+		t.LastAbortCause, penalty = t.OCC.Rollback()
+		lock, held = e.blockingGIL(t)
+	} else {
+		doomAddr = t.HTM.Tx.DoomAddr() // Rollback clears it; read first
+		t.LastAbortCause, penalty = t.HTM.Abort()
+		switch t.LastAbortCause {
 		case simmem.CauseConflict:
+			// A conflict on a lock word itself points at that lock.
 			if g := e.Sharded.ByAddr(doomAddr); g != nil {
-				relevant = g
+				lock, artifact = g, true
 			}
 		case simmem.CauseExplicit:
-			if t.abortShard >= 0 {
-				relevant = e.Sharded.Shards[t.abortShard]
+			// Figure 1 line 15 on finding a lock held: the root's word at
+			// begin or commit, or a shard's word in TouchShard.
+			artifact = true
+			if t.lock != nil {
+				lock = t.lock
 			}
 		}
+		held = lock.Acquired()
 	}
-	// GIL-artifact aborts — a conflict on a lock word itself, or the
-	// Figure 1 line-15 explicit abort on finding a lock held — are caused
-	// by *other* sections running under the lock, not by this section's own
-	// inability to elide. Feeding them to the breaker would make open-state
-	// GIL traffic doom every half-open probe and latch the breaker open, so
-	// only root-cause fallbacks (data conflict, capacity, spurious, ...)
-	// enter its outcome window.
-	gilArtifact := cause == simmem.CauseExplicit ||
-		(cause == simmem.CauseConflict && relevant != e.GIL) ||
-		(cause == simmem.CauseConflict && doomAddr == e.GIL.Addr)
-	if e.Tracer != nil {
-		ev := trace.Ev(now, trace.KindTxAbort)
-		ev.Ctx = t.HTM.Tx.ID()
-		ev.Thread = sthID(sth)
-		ev.PC = t.pc
-		ev.Cause = cause.String()
-		if cause == simmem.CauseConflict {
-			ev.Region = t.HTM.Mem.RegionLabel(doomAddr)
-		}
-		e.Tracer.Emit(ev)
-	}
+	e.emit(tierKinds[tier].abort, t, sth, now, "", doomAddr)
 	cycles := penalty
-	d := e.Policy.OnAbort(e, t.PS, t.pc, cause, relevant.Acquired())
+	d := e.Policy.OnAbort(e, t.PS, t.pc, tier, t.LastAbortCause, held)
 	switch d.Kind {
 	case policy.AbortSpinRetry:
 		// Lines 22-26 of Figure 1: park until the lock at fault is
 		// released, then re-begin.
-		relevant.WaitFree(sth)
+		lock.WaitFree(sth)
 		t.state = stWaitRetry
 		return cycles, Block
-	case policy.AbortRetry:
-		c, out := e.tryBegin(t, sth, now+cycles)
-		return cycles + c, out
 	case policy.AbortBackoff:
 		// Park for the backoff duration, then re-begin. The thread is not
-		// registered with the GIL, so only this timed event wakes it; it
+		// registered with the lock, so only this timed event wakes it; it
 		// fires after this step returns, by which time the thread is
 		// Blocked (steps complete synchronously).
 		e.Engine.At(now+cycles+d.Backoff, func(at int64) {
@@ -569,106 +539,45 @@ func (e *Elision) HandleAbort(t *Thread, sth *sched.Thread, now int64) (int64, O
 		})
 		t.state = stWaitRetry
 		return cycles, Block
-	case policy.AbortOCC:
-		// Degrade the failing section to the software tier instead of
-		// the GIL: still concurrent, no capacity limits.
-		c, out := e.beginOCC(t, sth, now+cycles)
-		return cycles + c, out
-	default: // policy.AbortFallback
-		c, out := e.acquireGIL(t, sth, now+cycles, d.Reason,
-			!gilArtifact && d.Reason != policy.DeadlineReason)
-		return cycles + c, out
-	}
-}
-
-// handleOCCAbort completes a software-transaction abort and asks the policy
-// how to continue. The interpreter has already rolled its private state
-// back; the buffered writes are simply discarded.
-func (e *Elision) handleOCCAbort(t *Thread, sth *sched.Thread, now int64) (int64, Outcome) {
-	gilBlocked := t.OCC.GILBlocked() // Rollback clears it; read first
-	cause, penalty := t.OCC.Rollback()
-	t.OCCMode = false
-	t.LastAbortCause = cause
-	if e.Tracer != nil {
-		ev := trace.Ev(now, trace.KindOCCAbort)
-		ev.Ctx = t.HTM.Tx.ID()
-		ev.Thread = sthID(sth)
-		ev.PC = t.pc
-		ev.Cause = cause.String()
-		e.Tracer.Emit(ev)
-	}
-	cycles := penalty
-	// In sharded mode the lock blocking this software transaction may be a
-	// shard GIL from its touch mask rather than the root.
-	blocking := e.blockingGIL(t)
-	gilHeld := blocking != nil
-	if blocking == nil {
-		blocking = e.GIL
-	}
-	var d policy.AbortDecision
-	if op, ok := e.Policy.(policy.OCCPolicy); ok {
-		d = op.OnOCCAbort(e, t.PS, t.pc, cause, gilHeld)
-	} else {
-		d = e.Policy.OnAbort(e, t.PS, t.pc, cause, gilHeld)
-	}
-	switch d.Kind {
-	case policy.AbortSpinRetry:
-		// Park until the blocking lock is released, then re-run in the tier.
-		blocking.WaitFree(sth)
-		t.state = stWaitRetryOCC
-		return cycles, Block
 	case policy.AbortRetry, policy.AbortOCC:
-		c, out := e.beginOCC(t, sth, now+cycles)
+		// Re-begin at once: in the same tier, or degraded from hardware to
+		// the software tier — still concurrent, no capacity limits.
+		t.OCCMode = t.OCCMode || d.Kind == policy.AbortOCC
+		c, out := e.begin(t, sth, now+cycles)
 		return cycles + c, out
-	case policy.AbortBackoff:
-		e.Engine.At(now+cycles+d.Backoff, func(at int64) {
-			e.Engine.Wake(sth, at)
-		})
-		t.state = stWaitRetryOCC
-		return cycles, Block
 	default: // policy.AbortFallback
-		// A commit blocked by a held GIL is the lock's fault, not this
-		// section's; keep it out of the breaker window like the GIL
-		// artifacts of the hardware path. Deadline downgrades likewise.
 		c, out := e.acquireGIL(t, sth, now+cycles, d.Reason,
-			!gilBlocked && d.Reason != policy.DeadlineReason)
+			!artifact && d.Reason != policy.DeadlineReason)
 		return cycles + c, out
 	}
 }
 
-// ReleaseLock releases whatever fallback lock t currently holds — the root
-// GIL or, in sharded mode, t's shard GIL. Used by TransactionEnd and by
-// blocking natives that drop the lock around a wait (CRuby semantics).
+// ReleaseLock releases the fallback lock t holds — the root GIL or t's shard
+// GIL — and leaves GIL mode. Used by TransactionEnd and by blocking natives
+// that drop the lock around a wait (CRuby semantics; they come back through
+// ReacquireRoot).
 func (e *Elision) ReleaseLock(t *Thread, sth *sched.Thread, now int64) int64 {
-	if e.Sharded != nil {
-		if t.heldShard >= 0 {
-			c := e.Sharded.ReleaseShard(sth, t.heldShard, now)
-			t.heldShard = -1
-			return c
-		}
-		return e.Sharded.ReleaseRoot(sth, now)
+	t.GILMode = false
+	if s := t.lock.ShardID; s > 0 {
+		return e.Sharded.ReleaseShard(sth, s-1, now)
 	}
-	return e.GIL.Release(sth, now)
+	return e.Sharded.ReleaseRoot(sth, now)
 }
 
 // blockingGIL returns the lock that currently blocks t's software
-// transaction from committing: the root GIL when held, else — in sharded
-// mode — the first held shard lock in t's touch mask. nil when none.
-func (e *Elision) blockingGIL(t *Thread) *gil.GIL {
+// transaction from committing — the root GIL when held, else the first held
+// shard lock in t's touch mask — and whether there is one (the root, not
+// held, otherwise).
+func (e *Elision) blockingGIL(t *Thread) (*gil.GIL, bool) {
 	if e.GIL.Acquired() {
-		return e.GIL
+		return e.GIL, true
 	}
-	if e.Sharded != nil {
-		m := t.ShardMask
-		for m != 0 {
-			s := bits.TrailingZeros64(m)
-			m &= m - 1
-			if e.Sharded.Shards[s].Acquired() {
-				return e.Sharded.Shards[s]
-			}
+	for m := t.ShardMask; m != 0; m &= m - 1 {
+		if g := e.Sharded.Shards[bits.TrailingZeros64(m)]; g.Acquired() {
+			return g, true
 		}
 	}
-	return nil
+	return e.GIL, false
 }
 
 // TransactionEnd implements transaction_end of Figure 2. It returns the
@@ -679,13 +588,13 @@ func (e *Elision) blockingGIL(t *Thread) *gil.GIL {
 func (e *Elision) TransactionEnd(t *Thread, sth *sched.Thread, now int64) (int64, bool) {
 	e.curThread = sthID(sth)
 	if t.GILMode {
-		cost := e.ReleaseLock(t, sth, now)
-		t.GILMode = false
 		t.ShardMask = 0
-		return cost, true
+		return e.ReleaseLock(t, sth, now), true
 	}
+	var cycles int64
+	var ok bool
 	if t.OCCMode {
-		if e.blockingGIL(t) != nil {
+		if _, held := e.blockingGIL(t); held {
 			// A lock holder assumes exclusion; publishing (or even
 			// linearizing a read-only commit) now would race its critical
 			// section. Doom the transaction and let the abort path spin
@@ -693,44 +602,20 @@ func (e *Elision) TransactionEnd(t *Thread, sth *sched.Thread, now int64) (int64
 			t.OCC.BlockCommit()
 			return 2, false
 		}
-		cycles, ok := t.OCC.Commit()
-		if ok {
-			t.OCCMode = false
-			t.ShardMask = 0
-			if op, okp := e.Policy.(policy.OCCPolicy); okp {
-				op.OnOCCCommit(e, t.PS, t.pc)
-			} else {
-				e.Policy.OnCommit(e, t.PS, t.pc)
-			}
-			e.Breaker.RecordCommit(now)
-			if e.Tracer != nil {
-				ev := trace.Ev(now, trace.KindOCCCommit)
-				ev.Ctx = t.HTM.Tx.ID()
-				ev.Thread = sthID(sth)
-				ev.PC = t.pc
-				e.Tracer.Emit(ev)
-			}
-		}
-		return cycles, ok
-	}
-	if t.lazy && t.HTM.InTx() {
-		w := t.HTM.Tx.Load(e.GIL.Addr)
-		if w.Bits != 0 {
+		cycles, ok = t.OCC.Commit()
+	} else {
+		if t.lazy && t.HTM.InTx() && t.HTM.Tx.Load(e.GIL.Addr).Bits != 0 {
 			t.HTM.ExplicitAbort()
 		}
+		cycles, ok = t.HTM.End(now)
 	}
-	cycles, ok := t.HTM.End(now)
 	if ok {
+		kind := tierKinds[t.tier()].commit
+		t.OCCMode = false
 		t.ShardMask = 0
 		e.Policy.OnCommit(e, t.PS, t.pc)
 		e.Breaker.RecordCommit(now)
-		if e.Tracer != nil {
-			ev := trace.Ev(now, trace.KindTxCommit)
-			ev.Ctx = t.HTM.Tx.ID()
-			ev.Thread = sthID(sth)
-			ev.PC = t.pc
-			e.Tracer.Emit(ev)
-		}
+		e.emit(kind, t, sth, now, "", 0)
 	}
 	return cycles, ok
 }

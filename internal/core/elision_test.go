@@ -21,9 +21,10 @@ type rig struct {
 	ctrAdr simmem.Addr
 }
 
-func newRig(t *testing.T, prof *htm.Profile, params Params, nthreads int) *rig {
+// newRig wires the rig around the paper's algorithm with its constants.
+func newRig(t *testing.T, prof *htm.Profile, nthreads int) *rig {
 	t.Helper()
-	return newRigPolicy(t, prof, policy.NewPaperDynamic(params), nthreads)
+	return newRigPolicy(t, prof, policy.NewPaperDynamic(policy.DefaultParams(prof)), nthreads)
 }
 
 // newRigPolicy wires the rig around an arbitrary contention policy.
@@ -146,7 +147,7 @@ func (r *rig) worker(t *testing.T, prof *htm.Profile, ctxID int, iters int, extr
 
 func TestSingleThreadUsesGIL(t *testing.T) {
 	prof := htm.ZEC12()
-	r := newRig(t, prof, DefaultParams(prof), 1)
+	r := newRig(t, prof, 1)
 	r.worker(t, prof, 0, 100, 0, 0)
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestSingleThreadUsesGIL(t *testing.T) {
 func TestMultiThreadAtomicity(t *testing.T) {
 	prof := htm.ZEC12()
 	for _, n := range []int{2, 4, 8, 12} {
-		r := newRig(t, prof, DefaultParams(prof), n)
+		r := newRig(t, prof, n)
 		scratch := r.mem.Reserve("scratch", 1<<20)
 		iters := 500
 		for i := 0; i < n; i++ {
@@ -220,7 +221,7 @@ func TestLazySubscriptionArmsHazardTracking(t *testing.T) {
 	if !r.gil.HazardTrack {
 		t.Fatalf("lazy-subscription policy did not arm GIL hazard tracking")
 	}
-	r2 := newRig(t, prof, DefaultParams(prof), 2)
+	r2 := newRig(t, prof, 2)
 	if r2.gil.HazardTrack {
 		t.Fatalf("paper policy armed GIL hazard tracking")
 	}
@@ -228,7 +229,7 @@ func TestLazySubscriptionArmsHazardTracking(t *testing.T) {
 
 func TestPersistentAbortFallsBackToGIL(t *testing.T) {
 	prof := htm.ZEC12()
-	r := newRig(t, prof, DefaultParams(prof), 2)
+	r := newRig(t, prof, 2)
 	// One worker whose transaction always overflows the write capacity.
 	scratch := r.mem.Reserve("big", 1<<22)
 	capLines := prof.WriteCapBytes / prof.LineBytes
@@ -248,7 +249,7 @@ func TestPersistentAbortFallsBackToGIL(t *testing.T) {
 func TestDeterministicTLERun(t *testing.T) {
 	prof := htm.ZEC12()
 	run := func() (uint64, uint64) {
-		r := newRig(t, prof, DefaultParams(prof), 4)
+		r := newRig(t, prof, 4)
 		for i := 0; i < 4; i++ {
 			r.worker(t, prof, i, 300, 0, 0)
 		}
@@ -268,7 +269,7 @@ func TestGILRetrySpinPath(t *testing.T) {
 	// A thread whose transactions repeatedly collide with a GIL holder must
 	// spin (WaitFree) up to GILRetryMax times and then acquire the GIL.
 	prof := htm.ZEC12()
-	r := newRig(t, prof, DefaultParams(prof), 2)
+	r := newRig(t, prof, 2)
 	// Worker 0 takes the GIL frequently by doing restricted-style work: we
 	// emulate it by a worker with a transaction that always overflows (so
 	// it always falls back to the GIL).

@@ -90,15 +90,26 @@ type GIL struct {
 
 // New creates a GIL whose state word lives in its own line of mem.
 func New(mem *simmem.Memory, engine *sched.Engine, costs Costs) *GIL {
-	g := &GIL{
+	return newLock(mem, engine, costs, "gil")
+}
+
+// newLock creates one lock whose state word lives in its own line of mem,
+// reserved under label.
+func newLock(mem *simmem.Memory, engine *sched.Engine, costs Costs, label string) *GIL {
+	return &GIL{
 		mem:              mem,
 		engine:           engine,
 		costs:            costs,
-		Addr:             mem.Reserve("gil", simmem.WordBytes),
+		Addr:             mem.Reserve(label, simmem.WordBytes),
 		interruptFlagged: make(map[*sched.Thread]bool),
 	}
-	return g
 }
+
+// Retire ends the lock's life once its machine has run: only the counters,
+// the address and the shard id survive. Callers keep &g.Stats long after the
+// run, and through that interior pointer the lock would keep the simulated
+// memory, the engine and every thread reachable.
+func (g *GIL) Retire() { *g = GIL{Stats: g.Stats, Addr: g.Addr, ShardID: g.ShardID} }
 
 // Acquired reports whether some thread currently holds the GIL. This is the
 // plain (non-transactional) read used on fallback paths; transactional code

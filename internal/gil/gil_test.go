@@ -229,3 +229,27 @@ func TestThreadExitedWithoutFlagIsNoop(t *testing.T) {
 		t.Fatalf("count = %d after all exits", g.FlaggedCount())
 	}
 }
+
+// TestRetireKeepsCountersOnly: a retired lock is what a caller holding
+// &g.Stats keeps alive, so it must hold the counters, the address and the
+// shard id and nothing that leads back to the machine.
+func TestRetireKeepsCountersOnly(t *testing.T) {
+	_, eng, g := setup()
+	g.ShardID = 3
+	var th *sched.Thread
+	th = eng.Spawn("t", 0, func(now int64) sched.StepResult {
+		g.TryAcquire(th, now)
+		return sched.StepResult{Cycles: g.Release(th, now+100), Status: sched.Done}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	kept, addr := &g.Stats, g.Addr
+	g.Retire()
+	if kept.Acquisitions != 1 || kept.HoldCycles != 100 || g.Addr != addr || g.ShardID != 3 {
+		t.Fatalf("Retire lost state: %+v addr %d shard %d", *kept, g.Addr, g.ShardID)
+	}
+	if g.mem != nil || g.engine != nil || g.interruptFlagged != nil || g.Acquired() {
+		t.Fatal("a retired lock still references its machine")
+	}
+}

@@ -44,21 +44,23 @@ const MaxShards = 64
 
 // NewSharded wraps root with n per-shard GILs sharing its cost model. Each
 // shard lock's state word lives in its own cache line, so transactional
-// subscriptions to different shards never conflict.
+// subscriptions to different shards never conflict. The shard locks inherit
+// the root's Tracer, Chooser and HazardTrack as they stand now (their
+// holders publish non-transactional writes like the root's do), so wire the
+// root first.
+//
+// n == 0 is the unsharded configuration: with no holds to drain and a gate
+// that never fills, AcquireRoot/ReleaseRoot are step-for-step
+// BlockingAcquire/Release (TestZeroShardCoordinatorEqualsBareGIL).
 func NewSharded(root *GIL, n int) *Sharded {
-	if n < 1 || n > MaxShards {
-		panic(fmt.Sprintf("gil: shard count %d out of range [1,%d]", n, MaxShards))
+	if n < 0 || n > MaxShards {
+		panic(fmt.Sprintf("gil: shard count %d out of range [0,%d]", n, MaxShards))
 	}
 	s := &Sharded{Root: root, engine: root.engine}
 	for i := 0; i < n; i++ {
-		g := &GIL{
-			mem:              root.mem,
-			engine:           root.engine,
-			costs:            root.costs,
-			Addr:             root.mem.Reserve(fmt.Sprintf("gil-shard%02d", i), simmem.WordBytes),
-			interruptFlagged: make(map[*sched.Thread]bool),
-			ShardID:          i + 1,
-		}
+		g := newLock(root.mem, root.engine, root.costs, fmt.Sprintf("gil-shard%02d", i))
+		g.ShardID = i + 1
+		g.Tracer, g.Chooser, g.HazardTrack = root.Tracer, root.Chooser, root.HazardTrack
 		s.Shards = append(s.Shards, g)
 	}
 	return s
@@ -149,6 +151,3 @@ func (s *Sharded) ReleaseRoot(th *sched.Thread, now int64) int64 {
 	}
 	return c
 }
-
-// ShardCount returns the number of shard GILs.
-func (s *Sharded) ShardCount() int { return len(s.Shards) }

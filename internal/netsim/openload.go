@@ -242,7 +242,7 @@ type openSession struct {
 // LoadGen — crucially keeping the original arrival time, so retries pay
 // their full latency cost.
 type OpenLoadGen struct {
-	Net  *Network
+	Net  *Network // cleared, with Eng and OnDone, once the run is done
 	Eng  *sched.Engine
 	Port int64
 
@@ -485,6 +485,10 @@ func (g *OpenLoadGen) maybeDone() {
 		if g.OnDone != nil {
 			g.OnDone()
 		}
+		// Nothing is left to connect or schedule. The finished generator is
+		// kept for its counters and samples; it must not keep the simulated
+		// machine alive through its plumbing.
+		g.Net, g.Eng, g.OnDone = nil, nil, nil
 	}
 }
 

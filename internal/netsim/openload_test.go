@@ -236,6 +236,9 @@ func runOpenEcho(t *testing.T, specText string, g *OpenLoadGen) ([]openDone, *tr
 	if _, err := machine.Run(iseq); err != nil {
 		t.Fatal(err)
 	}
+	if g.Net != nil || g.Eng != nil || g.OnDone != nil {
+		t.Fatal("the finished generator still holds its network plumbing (and through it the machine)")
+	}
 	return log, agg, kinds
 }
 

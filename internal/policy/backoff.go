@@ -61,31 +61,21 @@ func (b *Backoff) OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDecisio
 	return b.Paper.OnBegin(rt, &t.paperThread, pc, live)
 }
 
-// OnAbort implements Policy.
-func (b *Backoff) OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+// OnAbort implements Policy: Figure 1's reactions, except that a transient
+// abort parks for an exponentially growing backoff before it retries.
+func (b *Backoff) OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
 	t := ts.(*backoffThread)
-	if t.firstRetry {
-		t.firstRetry = false
-		b.adjust(rt, pc)
+	if gilHeld || !cause.Transient() {
+		return b.Paper.OnAbort(rt, &t.paperThread, pc, tier, cause, gilHeld)
 	}
-	switch {
-	case gilHeld:
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortSpinRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
-	case !cause.Transient():
-		return AbortDecision{Kind: AbortFallback, Reason: "persistent-abort"}
-	default:
-		t.attempt++
-		if t.attempt > b.RetryMax {
-			return AbortDecision{Kind: AbortFallback, Reason: "retry-exhausted"}
-		}
-		d := b.Base << uint(t.attempt-1)
-		if d > b.Cap {
-			d = b.Cap
-		}
-		return AbortDecision{Kind: AbortBackoff, Backoff: d}
+	b.onFirstRetry(rt, &t.paperThread, pc)
+	t.attempt++
+	if t.attempt > b.RetryMax {
+		return AbortDecision{Kind: AbortFallback, Reason: "retry-exhausted"}
 	}
+	d := b.Base << uint(t.attempt-1)
+	if d > b.Cap {
+		d = b.Cap
+	}
+	return AbortDecision{Kind: AbortBackoff, Backoff: d}
 }

@@ -74,8 +74,8 @@ func (g *DeadlineGate) OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDe
 
 // OnAbort delegates, then downgrades any retry (including one whose backoff
 // alone would overrun the deadline) to the GIL fallback.
-func (g *DeadlineGate) OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
-	d := g.inner.OnAbort(rt, ts, pc, cause, gilHeld)
+func (g *DeadlineGate) OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+	d := g.inner.OnAbort(rt, ts, pc, tier, cause, gilHeld)
 	if d.Kind != AbortFallback && g.near(rt, d.Backoff) {
 		return AbortDecision{Kind: AbortFallback, Reason: DeadlineReason}
 	}
@@ -95,27 +95,3 @@ func (g *DeadlineGate) LazySubscribes() bool { return UsesLazySubscription(g.inn
 
 // UsesOCC forwards the software-tier probe.
 func (g *DeadlineGate) UsesOCC() bool { return UsesOCCTier(g.inner) }
-
-// OnOCCAbort delegates to the inner policy's software-tier hook (or its
-// hardware hook when it has none), with the same deadline downgrade.
-func (g *DeadlineGate) OnOCCAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
-	var d AbortDecision
-	if op, ok := g.inner.(OCCPolicy); ok {
-		d = op.OnOCCAbort(rt, ts, pc, cause, gilHeld)
-	} else {
-		d = g.inner.OnAbort(rt, ts, pc, cause, gilHeld)
-	}
-	if d.Kind != AbortFallback && g.near(rt, d.Backoff) {
-		return AbortDecision{Kind: AbortFallback, Reason: DeadlineReason}
-	}
-	return d
-}
-
-// OnOCCCommit delegates to the inner policy's software-tier hook.
-func (g *DeadlineGate) OnOCCCommit(rt Runtime, ts ThreadState, pc int) {
-	if op, ok := g.inner.(OCCPolicy); ok {
-		op.OnOCCCommit(rt, ts, pc)
-		return
-	}
-	g.inner.OnCommit(rt, ts, pc)
-}

@@ -52,12 +52,12 @@ func TestDeadlineGateAbortDowngrade(t *testing.T) {
 	g := NewDeadlineGate(inner, 1_000)
 	ts := g.NewThread()
 	near := &deadlineRT{rem: 900, hasRem: true}
-	d := g.OnAbort(near, ts, 0, simmem.CauseConflict, false)
+	d := g.OnAbort(near, ts, 0, TierHTM, simmem.CauseConflict, false)
 	if d.Kind != AbortFallback || d.Reason != DeadlineReason {
 		t.Fatalf("near-deadline abort: got %+v, want deadline fallback", d)
 	}
 	far := &deadlineRT{rem: 1 << 30, hasRem: true}
-	if d := g.OnAbort(far, ts, 0, simmem.CauseConflict, false); d.Kind == AbortFallback && d.Reason == DeadlineReason {
+	if d := g.OnAbort(far, ts, 0, TierHTM, simmem.CauseConflict, false); d.Kind == AbortFallback && d.Reason == DeadlineReason {
 		t.Fatal("far-from-deadline abort must keep the inner decision")
 	}
 }

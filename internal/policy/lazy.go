@@ -50,33 +50,16 @@ func (l *Lazy) OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDecision {
 // aborts); it is really a GIL conflict, so it draws on the GIL retry budget
 // rather than the transient one. If the GIL is still held we spin on its
 // release like Figure 1; if it was already released we retry immediately.
-func (l *Lazy) OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+func (l *Lazy) OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+	if gilHeld || cause != simmem.CauseExplicit {
+		return l.Paper.OnAbort(rt, ts, pc, tier, cause, gilHeld)
+	}
+	// Commit-time subscription failure, but the holder is gone: retry.
 	t := ts.(*paperThread)
-	if t.firstRetry {
-		t.firstRetry = false
-		l.adjust(rt, pc)
+	l.onFirstRetry(rt, t, pc)
+	t.gilRetry--
+	if t.gilRetry > 0 {
+		return AbortDecision{Kind: AbortRetry}
 	}
-	switch {
-	case gilHeld:
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortSpinRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
-	case cause == simmem.CauseExplicit:
-		// Commit-time subscription failure, but the holder is gone: retry.
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
-	case !cause.Transient():
-		return AbortDecision{Kind: AbortFallback, Reason: "persistent-abort"}
-	default:
-		t.transientRetry--
-		if t.transientRetry > 0 {
-			return AbortDecision{Kind: AbortRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "retry-exhausted"}
-	}
+	return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
 }

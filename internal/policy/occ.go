@@ -116,37 +116,35 @@ func (o *OCC) OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDecision {
 	return o.Paper.OnBegin(rt, ts, pc, live)
 }
 
-// OnAbort implements Policy, reacting to *hardware* aborts: GIL contention
-// keeps Figure 1's spin semantics, restricted operations must serialize,
-// and everything hardware retry cannot cure — capacity overflows, learning
-// dooms, exhausted transient retries — degrades to the software tier
-// rather than the GIL.
-func (o *OCC) OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+// OnAbort implements Policy for both tiers. A held lock keeps Figure 1's
+// spin semantics and restricted operations must serialize (the software tier
+// cannot run them either). What hardware retry cannot cure — capacity
+// overflows, learning dooms, exhausted transient retries — degrades to the
+// software tier rather than the GIL; software-tier aborts retry a bounded
+// number of times before serializing.
+func (o *OCC) OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
 	o.record(pc, false)
-	t := ts.(*paperThread)
-	if t.firstRetry {
-		t.firstRetry = false
-	}
+	return tierAbort(ts.(*paperThread), tier, cause, gilHeld)
+}
+
+// tierAbort is the abort reaction shared by the policies that use the
+// software tier.
+func tierAbort(t *paperThread, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
 	switch {
 	case gilHeld:
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortSpinRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
+		return t.spinOnGIL()
+	case tier == TierOCC && cause == simmem.CauseRestricted:
+		return AbortDecision{Kind: AbortFallback, Reason: "restricted"}
+	case tier == TierOCC:
+		return t.retryTransient(AbortDecision{Kind: AbortFallback, Reason: "occ-retry-exhausted"})
 	case cause == simmem.CauseRestricted:
-		// The software tier cannot run restricted operations either.
 		return AbortDecision{Kind: AbortFallback, Reason: "persistent-abort"}
 	case !cause.Transient():
 		// Capacity / learning / explicit: hardware is out of its depth,
 		// but the section can still run optimistically in software.
 		return AbortDecision{Kind: AbortOCC}
 	default:
-		t.transientRetry--
-		if t.transientRetry > 0 {
-			return AbortDecision{Kind: AbortRetry}
-		}
-		return AbortDecision{Kind: AbortOCC}
+		return t.retryTransient(AbortDecision{Kind: AbortOCC})
 	}
 }
 
@@ -157,35 +155,6 @@ func (o *OCC) OnCommit(rt Runtime, ts ThreadState, pc int) {
 
 // UsesOCC implements OCCPolicy.
 func (o *OCC) UsesOCC() bool { return true }
-
-// OnOCCAbort implements OCCPolicy: software-tier aborts retry a bounded
-// number of times (spinning on the GIL when the commit was lock-blocked)
-// before serializing.
-func (o *OCC) OnOCCAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
-	o.record(pc, false)
-	t := ts.(*paperThread)
-	switch {
-	case gilHeld:
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortSpinRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
-	case cause == simmem.CauseRestricted:
-		return AbortDecision{Kind: AbortFallback, Reason: "restricted"}
-	default:
-		t.transientRetry--
-		if t.transientRetry > 0 {
-			return AbortDecision{Kind: AbortRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "occ-retry-exhausted"}
-	}
-}
-
-// OnOCCCommit implements OCCPolicy.
-func (o *OCC) OnOCCCommit(rt Runtime, ts ThreadState, pc int) {
-	o.record(pc, true)
-}
 
 // OCCFirst routes every multi-thread critical section into the software-
 // transaction tier: no hardware transactions at all, the GIL only for
@@ -227,10 +196,15 @@ func (o *OCCFirst) OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDecisi
 	return BeginDecision{Elide: true, OCC: true, Length: o.length}
 }
 
-// OnAbort implements Policy. The policy never begins hardware transactions,
-// so a hardware abort can only mean the runtime lacks the tier; serialize.
-func (o *OCCFirst) OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
-	return AbortDecision{Kind: AbortFallback, Reason: "persistent-abort"}
+// OnAbort implements Policy: bounded retries in the tier, Figure 1's spin
+// when the commit was blocked by a held lock, the lock as the last resort.
+// The policy never begins hardware transactions, so a hardware abort can only
+// come from a hand-driven runtime; serialize.
+func (o *OCCFirst) OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+	if tier == TierHTM {
+		return AbortDecision{Kind: AbortFallback, Reason: "persistent-abort"}
+	}
+	return tierAbort(ts.(*paperThread), tier, cause, gilHeld)
 }
 
 // OnCommit implements Policy.
@@ -241,28 +215,3 @@ func (o *OCCFirst) Lengths() []int32 { return nil }
 
 // UsesOCC implements OCCPolicy.
 func (o *OCCFirst) UsesOCC() bool { return true }
-
-// OnOCCAbort implements OCCPolicy: bounded retries, Figure 1's spin when
-// the commit was blocked by a held GIL, the lock as the last resort.
-func (o *OCCFirst) OnOCCAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
-	t := ts.(*paperThread)
-	switch {
-	case gilHeld:
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortSpinRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
-	case cause == simmem.CauseRestricted:
-		return AbortDecision{Kind: AbortFallback, Reason: "restricted"}
-	default:
-		t.transientRetry--
-		if t.transientRetry > 0 {
-			return AbortDecision{Kind: AbortRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "occ-retry-exhausted"}
-	}
-}
-
-// OnOCCCommit implements OCCPolicy.
-func (o *OCCFirst) OnOCCCommit(rt Runtime, ts ThreadState, pc int) {}

@@ -167,32 +167,47 @@ func (p *Paper) OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDecision 
 	return BeginDecision{Elide: true, Length: length}
 }
 
-// OnAbort implements Policy: lines 16-37 of Figure 1.
-func (p *Paper) OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision {
-	t := ts.(*paperThread)
-	// Lines 17-20: adjust the length on the first retry only.
+// onFirstRetry is lines 17-20 of Figure 1: adjust the length on the first
+// retry of a section only.
+func (p *Paper) onFirstRetry(rt Runtime, t *paperThread, pc int) {
 	if t.firstRetry {
 		t.firstRetry = false
 		p.adjust(rt, pc)
 	}
+}
+
+// spinOnGIL is lines 21-27 of Figure 1: the lock at fault is held, so spin
+// until its release a bounded number of times, then acquire it.
+func (t *paperThread) spinOnGIL() AbortDecision {
+	t.gilRetry--
+	if t.gilRetry > 0 {
+		return AbortDecision{Kind: AbortSpinRetry}
+	}
+	return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
+}
+
+// retryTransient is lines 31-35 of Figure 1: retry a transient abort a
+// bounded number of times, then take the exhausted decision.
+func (t *paperThread) retryTransient(exhausted AbortDecision) AbortDecision {
+	t.transientRetry--
+	if t.transientRetry > 0 {
+		return AbortDecision{Kind: AbortRetry}
+	}
+	return exhausted
+}
+
+// OnAbort implements Policy: lines 16-37 of Figure 1.
+func (p *Paper) OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision {
+	t := ts.(*paperThread)
+	p.onFirstRetry(rt, t, pc)
 	switch {
 	case gilHeld:
-		// Lines 21-27: conflict at the GIL.
-		t.gilRetry--
-		if t.gilRetry > 0 {
-			return AbortDecision{Kind: AbortSpinRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "gil-contention"}
+		return t.spinOnGIL()
 	case !cause.Transient():
 		// Lines 28-29: persistent abort; retrying cannot succeed.
 		return AbortDecision{Kind: AbortFallback, Reason: "persistent-abort"}
 	default:
-		// Lines 31-35: transient abort; retry a bounded number of times.
-		t.transientRetry--
-		if t.transientRetry > 0 {
-			return AbortDecision{Kind: AbortRetry}
-		}
-		return AbortDecision{Kind: AbortFallback, Reason: "retry-exhausted"}
+		return t.retryTransient(AbortDecision{Kind: AbortFallback, Reason: "retry-exhausted"})
 	}
 }
 

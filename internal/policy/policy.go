@@ -9,9 +9,10 @@
 //     transaction length (in yield points)?
 //   - OnAbort: after an abort, retry immediately, spin until the GIL is
 //     free, back off for some virtual cycles, or fall back to the GIL —
-//     keyed by the hardware abort code (conflict / capacity / explicit /
-//     interrupt) and by whether the GIL is currently held.
-//   - OnCommit: observe a successful transactional commit (adaptive
+//     keyed by the tier the section ran in (hardware or software), the
+//     abort code (conflict / capacity / explicit / interrupt) and whether
+//     the lock at fault is currently held.
+//   - OnCommit: observe a successful commit in either tier (adaptive
 //     policies feed their success-rate estimators here).
 //
 // The paper's Figure 1-3 algorithm is one implementation (PaperDynamic);
@@ -90,6 +91,17 @@ const (
 	AbortOCC
 )
 
+// Tier names the speculative tier a critical section ran in when it aborted.
+type Tier uint8
+
+// Speculative tiers.
+const (
+	// TierHTM is hardware lock elision (the paper's path).
+	TierHTM Tier = iota
+	// TierOCC is the software-transaction tier (internal/occ).
+	TierOCC
+)
+
 // AbortDecision is a Policy's answer to a transaction abort.
 type AbortDecision struct {
 	Kind AbortKind
@@ -108,10 +120,14 @@ type Policy interface {
 	// OnBegin decides how to open a critical section at yield point pc.
 	// live is the number of live application threads.
 	OnBegin(rt Runtime, ts ThreadState, pc, live int) BeginDecision
-	// OnAbort decides how to continue after an abort of the transaction
-	// opened at pc. gilHeld reports whether the GIL is held right now.
-	OnAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision
-	// OnCommit observes a successful transactional commit at pc.
+	// OnAbort decides how to continue after an abort of the section opened
+	// at pc, which ran in tier. gilHeld reports whether the lock at fault is
+	// held right now: the lock whose word doomed a hardware transaction, or
+	// the one that blocked a software commit. AbortRetry, AbortSpinRetry and
+	// AbortBackoff re-begin in the same tier; AbortOCC names the software
+	// tier.
+	OnAbort(rt Runtime, ts ThreadState, pc int, tier Tier, cause simmem.AbortCause, gilHeld bool) AbortDecision
+	// OnCommit observes a successful commit, in either tier, at pc.
 	OnCommit(rt Runtime, ts ThreadState, pc int)
 	// Lengths snapshots the per-yield-point length table for histograms;
 	// nil when the policy keeps no such table.
@@ -134,18 +150,11 @@ func UsesLazySubscription(p Policy) bool {
 // OCCPolicy is implemented by policies that route critical sections into
 // the software-transaction tier (BeginDecision.OCC or AbortOCC). The TLE
 // runtime probes it at construction to create the occ.Runtime and arm the
-// GIL hazard window, and dispatches software-tier outcomes to the dedicated
-// hooks (the hardware OnAbort/OnCommit signatures stay untouched).
+// GIL hazard window; software-tier outcomes reach the ordinary hooks, OnAbort
+// with the tier as an argument.
 type OCCPolicy interface {
 	// UsesOCC reports whether the policy may ever choose the tier.
 	UsesOCC() bool
-	// OnOCCAbort decides how to continue after a software-transaction
-	// abort at pc. gilHeld reports whether the abort came from a commit
-	// blocked by a held GIL (retry should wait for the release).
-	// AbortRetry and AbortOCC both re-run the section in the tier.
-	OnOCCAbort(rt Runtime, ts ThreadState, pc int, cause simmem.AbortCause, gilHeld bool) AbortDecision
-	// OnOCCCommit observes a successful software-transaction commit at pc.
-	OnOCCCommit(rt Runtime, ts ThreadState, pc int)
 }
 
 // UsesOCCTier reports whether p may route sections into the software tier.

@@ -136,12 +136,12 @@ func TestPaperAbortSequence(t *testing.T) {
 	// Transient aborts: TransientRetryMax-1 immediate retries, then fallback.
 	beginElided(t, p, ts, 0)
 	for i := 0; i < params.TransientRetryMax-1; i++ {
-		d := p.OnAbort(nil, ts, 0, simmem.CauseConflict, false)
+		d := p.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, false)
 		if d.Kind != AbortRetry {
 			t.Fatalf("transient abort %d: %+v", i, d)
 		}
 	}
-	d := p.OnAbort(nil, ts, 0, simmem.CauseConflict, false)
+	d := p.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, false)
 	if d.Kind != AbortFallback || d.Reason != "retry-exhausted" {
 		t.Fatalf("exhausted transient: %+v", d)
 	}
@@ -149,19 +149,19 @@ func TestPaperAbortSequence(t *testing.T) {
 	// GIL conflicts: GILRetryMax-1 spin rounds, then fallback.
 	beginElided(t, p, ts, 0)
 	for i := 0; i < params.GILRetryMax-1; i++ {
-		d := p.OnAbort(nil, ts, 0, simmem.CauseConflict, true)
+		d := p.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, true)
 		if d.Kind != AbortSpinRetry {
 			t.Fatalf("gil abort %d: %+v", i, d)
 		}
 	}
-	d = p.OnAbort(nil, ts, 0, simmem.CauseConflict, true)
+	d = p.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, true)
 	if d.Kind != AbortFallback || d.Reason != "gil-contention" {
 		t.Fatalf("exhausted gil spin: %+v", d)
 	}
 
 	// Persistent aborts fall back immediately.
 	beginElided(t, p, ts, 0)
-	d = p.OnAbort(nil, ts, 0, simmem.CauseWriteOverflow, false)
+	d = p.OnAbort(nil, ts, 0, TierHTM, simmem.CauseWriteOverflow, false)
 	if d.Kind != AbortFallback || d.Reason != "persistent-abort" {
 		t.Fatalf("persistent abort: %+v", d)
 	}
@@ -173,7 +173,7 @@ func TestBackoffLadder(t *testing.T) {
 	beginElided(t, b, ts, 0)
 	want := b.Base
 	for i := 0; i < b.RetryMax; i++ {
-		d := b.OnAbort(nil, ts, 0, simmem.CauseConflict, false)
+		d := b.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, false)
 		if d.Kind != AbortBackoff {
 			t.Fatalf("attempt %d: %+v", i, d)
 		}
@@ -187,24 +187,24 @@ func TestBackoffLadder(t *testing.T) {
 			}
 		}
 	}
-	d := b.OnAbort(nil, ts, 0, simmem.CauseConflict, false)
+	d := b.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, false)
 	if d.Kind != AbortFallback || d.Reason != "retry-exhausted" {
 		t.Fatalf("exhausted backoff: %+v", d)
 	}
 
 	// A fresh begin resets the ladder.
 	beginElided(t, b, ts, 0)
-	d = b.OnAbort(nil, ts, 0, simmem.CauseConflict, false)
+	d = b.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, false)
 	if d.Kind != AbortBackoff || d.Backoff != b.Base {
 		t.Fatalf("ladder not reset: %+v", d)
 	}
 
 	// GIL conflicts spin rather than back off; persistent aborts fall back.
-	d = b.OnAbort(nil, ts, 0, simmem.CauseConflict, true)
+	d = b.OnAbort(nil, ts, 0, TierHTM, simmem.CauseConflict, true)
 	if d.Kind != AbortSpinRetry {
 		t.Fatalf("gil conflict under backoff: %+v", d)
 	}
-	d = b.OnAbort(nil, ts, 0, simmem.CauseReadOverflow, false)
+	d = b.OnAbort(nil, ts, 0, TierHTM, simmem.CauseReadOverflow, false)
 	if d.Kind != AbortFallback || d.Reason != "persistent-abort" {
 		t.Fatalf("persistent under backoff: %+v", d)
 	}
@@ -225,18 +225,18 @@ func TestLazyDecisionsAndCommitTimeAborts(t *testing.T) {
 	}
 	// Commit-time subscription failure with the GIL already released:
 	// immediate retry on the GIL budget.
-	ad := l.OnAbort(nil, ts, 0, simmem.CauseExplicit, false)
+	ad := l.OnAbort(nil, ts, 0, TierHTM, simmem.CauseExplicit, false)
 	if ad.Kind != AbortRetry {
 		t.Fatalf("commit-time subscription failure: %+v", ad)
 	}
 	// With the GIL still held: spin like Figure 1.
-	ad = l.OnAbort(nil, ts, 0, simmem.CauseExplicit, true)
+	ad = l.OnAbort(nil, ts, 0, TierHTM, simmem.CauseExplicit, true)
 	if ad.Kind != AbortSpinRetry {
 		t.Fatalf("held-GIL subscription failure: %+v", ad)
 	}
 	// The GIL budget is shared across both shapes and exhausts into fallback.
 	for i := 0; i < 100; i++ {
-		ad = l.OnAbort(nil, ts, 0, simmem.CauseExplicit, false)
+		ad = l.OnAbort(nil, ts, 0, TierHTM, simmem.CauseExplicit, false)
 		if ad.Kind == AbortFallback {
 			break
 		}
@@ -254,7 +254,7 @@ func TestOCCGateTurnsPessimisticAndRecovers(t *testing.T) {
 	// An all-abort window must trip the gate.
 	for i := 0; i < o.Window; i++ {
 		beginElided(t, o, ts, pc)
-		o.OnAbort(nil, ts, pc, simmem.CauseConflict, false)
+		o.OnAbort(nil, ts, pc, TierHTM, simmem.CauseConflict, false)
 	}
 	for i := int32(0); i < o.Cooloff; i++ {
 		d := o.OnBegin(nil, ts, pc, 4)

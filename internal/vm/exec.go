@@ -115,7 +115,6 @@ func (t *RThread) blockForNative(now int64, sofar int64) sched.StepResult {
 	case ModeHTM:
 		if t.tle.GILMode {
 			v.Elision.ReleaseLock(t.tle, t.sth, now+sofar)
-			t.tle.GILMode = false
 		}
 		t.park(CatIOWait, rsReacquireGIL)
 	case ModeGIL:

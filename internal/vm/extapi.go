@@ -113,18 +113,14 @@ func (t *RThread) ReserveShadow(label string, bytes int) simmem.Addr {
 // sharded-GIL mode (no-op otherwise). Extensions call it before touching
 // data belonging to shard s; see core.Elision.TouchShard.
 func (t *RThread) TouchShard(s int) {
-	if t.vm.Sharded == nil || t.tle == nil {
-		return
+	if t.tle != nil {
+		t.vm.Elision.TouchShard(t.tle, s)
 	}
-	t.vm.Elision.TouchShard(t.tle, s)
 }
 
 // ShardCount returns the number of keyspace shards (1 when unsharded).
 func (t *RThread) ShardCount() int {
-	if t.vm.Sharded == nil {
-		return 1
-	}
-	return t.vm.Sharded.ShardCount()
+	return max(1, len(t.vm.Elision.Sharded.Shards))
 }
 
 // CyclesPerSecond is the virtual-time second used by load generators.

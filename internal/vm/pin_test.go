@@ -6,17 +6,19 @@ import (
 	"testing"
 	"time"
 
+	"htmgil/internal/gil"
 	"htmgil/internal/htm"
 )
 
 // TestRunResultDoesNotPinTheVM: experiment sweeps keep the Stats of hundreds
-// of finished runs; that must not keep each run's simulated machine (arena,
-// heap, memory pages) reachable. The VM sits in reference cycles of its own
+// of finished runs, and the repo benchmark the address of each machine's lock
+// counters; neither may keep the run's simulated machine (arena, heap, memory
+// pages) reachable. The VM sits in reference cycles of its own
 // (closures over it), where finalizers never run, so the finalizer goes on
 // the output writer only the VM holds.
 func TestRunResultDoesNotPinTheVM(t *testing.T) {
 	freed := make(chan struct{})
-	stats := func() *Stats {
+	stats, lock := func() (*Stats, *gil.Stats) {
 		out := &struct{ io.Writer }{io.Discard}
 		runtime.SetFinalizer(out, func(any) { close(freed) })
 		opt := DefaultOptions(htm.ZEC12(), ModeHTM)
@@ -31,7 +33,7 @@ func TestRunResultDoesNotPinTheVM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats
+		return res.Stats, &v.GIL.Stats
 	}()
 	for i := 0; i < 2; i++ {
 		runtime.GC()
@@ -39,9 +41,9 @@ func TestRunResultDoesNotPinTheVM(t *testing.T) {
 	select {
 	case <-freed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the VM is still reachable from the Stats its run returned")
+		t.Fatal("the VM is still reachable from the Stats its run returned or from its lock's counters")
 	}
-	if stats.Bytecodes == 0 {
-		t.Fatal("the kept Stats are empty")
+	if stats.Bytecodes == 0 || lock.Acquisitions == 0 {
+		t.Fatalf("the kept counters are empty: %d bytecodes, %d acquisitions", stats.Bytecodes, lock.Acquisitions)
 	}
 }

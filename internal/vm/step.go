@@ -26,27 +26,23 @@ func (t *RThread) step(now int64) sched.StepResult {
 		cycles, out := v.Elision.ResumeBegin(t.tle, t.sth, now)
 		return t.afterBegin(cycles, out, now)
 	case rsGILWaitOwned:
-		// Woken by the GIL handoff: we own the lock — except in sharded
-		// mode, where a wake off the drain queue owns nothing and must
-		// retry the root acquisition (see gil.Sharded).
-		if v.Sharded != nil && !v.GIL.HeldBy(t.sth) {
-			cycles, ok := v.Sharded.AcquireRoot(t.sth, now)
-			if !ok {
-				return sched.StepResult{Cycles: cycles + 1, Status: sched.Blocked}
-			}
-			t.tle.GILMode = true
-			t.acc = v.Mem
-			t.resume = t.afterGIL
-			return sched.StepResult{Cycles: cycles + 1, Status: sched.Running}
-		}
+		// Woken by the GIL handoff: we own the lock. Under elision core
+		// re-checks that: a wake off the sharded drain queue owns nothing
+		// and re-runs the root acquisition (without a second park call: the
+		// digests pin that wait as charged to no category).
+		var cycles int64
 		if v.Opt.Mode == ModeHTM {
-			t.tle.GILMode = true
+			c, out := v.Elision.ResumeBegin(t.tle, t.sth, now)
+			if out == core.Block {
+				return sched.StepResult{Cycles: c + 1, Status: sched.Blocked}
+			}
+			cycles = c
 		} else {
 			t.holdingGIL = true
 		}
 		t.acc = v.Mem
 		t.resume = t.afterGIL
-		return sched.StepResult{Cycles: 1, Status: sched.Running}
+		return sched.StepResult{Cycles: cycles + 1, Status: sched.Running}
 	case rsGCPark:
 		t.resume = rsDispatch
 		return sched.StepResult{Cycles: 1, Status: sched.Running}
@@ -54,19 +50,23 @@ func (t *RThread) step(now int64) sched.StepResult {
 		// Back from a blocking native: take the GIL again (CRuby semantics)
 		// and then re-dispatch the native, which consults its saved state.
 		// Blocking natives always retake the root GIL — they run
-		// interpreter-level synchronization, never a shard section.
+		// interpreter-level synchronization, never a shard section — and
+		// the return is not a fallback (core.Elision.ReacquireRoot).
 		switch v.Opt.Mode {
 		case ModeHTM, ModeGIL:
-			cycles, ok := t.rootAcquire(now)
+			var cycles int64
+			var ok bool
+			if v.Opt.Mode == ModeHTM {
+				c, out := v.Elision.ReacquireRoot(t.tle, t.sth, now)
+				cycles, ok = c, out == core.Proceed
+			} else {
+				cycles, ok = v.GIL.BlockingAcquire(t.sth, now)
+				t.holdingGIL = ok
+			}
 			if !ok {
 				t.afterGIL = rsNativeRetry
 				t.park(CatGILWait, rsGILWaitOwned)
 				return sched.StepResult{Cycles: cycles + 2, Status: sched.Blocked}
-			}
-			if v.Opt.Mode == ModeHTM {
-				t.tle.GILMode = true
-			} else {
-				t.holdingGIL = true
 			}
 			t.acc = v.Mem
 			t.resume = rsDispatch
@@ -120,17 +120,6 @@ func (t *RThread) top() (*Frame, *compile.Instr) {
 	return f, &f.iseq.Code[f.pc]
 }
 
-// rootAcquire acquires the global (root) GIL, honoring the sharded
-// drain/gate protocol when active. ok=false means the thread parked; the
-// rsGILWaitOwned resume re-checks ownership and retries as needed.
-func (t *RThread) rootAcquire(now int64) (int64, bool) {
-	v := t.vm
-	if v.Sharded != nil {
-		return v.Sharded.AcquireRoot(t.sth, now)
-	}
-	return v.GIL.BlockingAcquire(t.sth, now)
-}
-
 // doBegin opens a critical section at the pending yield point.
 func (t *RThread) doBegin(now int64) sched.StepResult {
 	v := t.vm
@@ -169,32 +158,24 @@ func (t *RThread) afterBegin(cycles int64, out core.Outcome, now int64) sched.St
 			v.Mem.Store(v.curThreadAddr, simmem.Word{Bits: uint64(t.ctxID + 1)})
 		}
 		v.Mem.Store(t.counterAddr, simmem.Word{Bits: uint64(t.tle.ChosenLength)})
-	} else if t.tle.OCCMode {
-		// Software tier: run over the OCC read/write logs. The same
-		// running-thread global and counter stores happen, buffered in
-		// the write log like any other speculative write.
-		t.acc = t.tle.OCC
-		t.checkpoint()
-		t.txCycles = 0
-		if !v.Opt.GlobalVarsToTLS {
-			t.tle.OCC.Store(v.curThreadAddr, simmem.Word{Bits: uint64(t.ctxID + 1)})
-		}
-		t.tle.OCC.Store(t.counterAddr, simmem.Word{Bits: uint64(t.tle.ChosenLength)})
-		if t.tle.OCC.Doomed() {
-			return t.doAbort(now)
-		}
 	} else {
+		// A transaction of either tier: hardware, or the software tier's
+		// read/write logs (the same stores happen, buffered in the write
+		// log like any other speculative write).
 		t.acc = t.hctx.Tx
+		if t.tle.OCCMode {
+			t.acc = t.tle.OCC
+		}
 		t.checkpoint()
 		t.txCycles = 0
 		if !v.Opt.GlobalVarsToTLS {
 			// Original CRuby design: globals pointing at the running thread
 			// are written inside every transaction — the paper's worst
 			// conflict source (Section 4.4).
-			t.hctx.Tx.Store(v.curThreadAddr, simmem.Word{Bits: uint64(t.ctxID + 1)})
+			t.acc.Store(v.curThreadAddr, simmem.Word{Bits: uint64(t.ctxID + 1)})
 		}
-		t.hctx.Tx.Store(t.counterAddr, simmem.Word{Bits: uint64(t.tle.ChosenLength)})
-		if t.hctx.Doomed(now) {
+		t.acc.Store(t.counterAddr, simmem.Word{Bits: uint64(t.tle.ChosenLength)})
+		if t.txDoomed(now) {
 			// Immediate doom (learning model or GIL race): abort right away.
 			return t.doAbort(now)
 		}

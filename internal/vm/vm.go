@@ -148,6 +148,13 @@ type Options struct {
 	Chooser choice.Chooser
 }
 
+// Defaults of the sizing options; New applies them to fields left zero.
+const (
+	defaultHeapSlots     = 200_000
+	defaultArenaBytes    = 96 << 20
+	defaultTimerInterval = 250_000
+)
+
 // DefaultOptions returns the paper's optimized configuration for a machine.
 func DefaultOptions(prof *htm.Profile, mode Mode) Options {
 	return Options{
@@ -159,10 +166,10 @@ func DefaultOptions(prof *htm.Profile, mode Mode) Options {
 		FillOnceInlineCaches: true,
 		IvarTableGuard:       true,
 		PaddedThreadStructs:  true,
-		HeapSlots:            200_000,
-		ArenaBytes:           96 << 20,
+		HeapSlots:            defaultHeapSlots,
+		ArenaBytes:           defaultArenaBytes,
 		ThreadLocalArenas:    true,
-		TimerInterval:        250_000,
+		TimerInterval:        defaultTimerInterval,
 		Seed:                 1,
 		MaxCycles:            60_000_000_000,
 	}
@@ -188,7 +195,6 @@ type VM struct {
 	Mem     *simmem.Memory
 	Engine  *sched.Engine
 	GIL     *gil.GIL
-	Sharded *gil.Sharded // nil unless Options.Shards > 1 (ModeHTM)
 	Elision *core.Elision
 	Heap    *heap.Heap
 	Syms    *object.SymTable
@@ -253,13 +259,18 @@ func New(opt Options) *VM {
 		panic("vm: Options.Prof required")
 	}
 	if opt.HeapSlots == 0 {
-		opt.HeapSlots = 200_000
+		opt.HeapSlots = defaultHeapSlots
 	}
 	if opt.ArenaBytes == 0 {
-		opt.ArenaBytes = 96 << 20
+		opt.ArenaBytes = defaultArenaBytes
 	}
 	if opt.TimerInterval == 0 {
-		opt.TimerInterval = 250_000
+		opt.TimerInterval = defaultTimerInterval
+	}
+	if opt.Watchdog && opt.Trace == nil {
+		// The watchdog observes the event stream; give it one even when
+		// the caller did not ask for tracing.
+		opt.Trace = trace.NewRecorder()
 	}
 	v := &VM{
 		Opt:     opt,
@@ -280,6 +291,9 @@ func New(opt Options) *VM {
 		SMTPenalty: 1.9,
 	})
 	v.GIL = gil.New(v.Mem, v.Engine, gil.DefaultCosts())
+	// Wired before any shard lock exists: shard GILs inherit both.
+	v.GIL.Tracer = opt.Trace
+	v.GIL.Chooser = opt.Chooser
 
 	hcfg := heap.Config{
 		Slots:                opt.HeapSlots,
@@ -313,13 +327,7 @@ func New(opt Options) *VM {
 	v.Elision.Deadlines = opt.Deadlines
 	v.Elision.LiveAppThreads = func() int { return v.liveApp }
 	if opt.Shards > 1 && opt.Mode == ModeHTM {
-		v.Sharded = gil.NewSharded(v.GIL, opt.Shards)
-		for _, g := range v.Sharded.Shards {
-			// Shard locks inherit the root's hazard tracking: their holders
-			// publish writes non-transactionally too.
-			g.HazardTrack = v.GIL.HazardTrack
-		}
-		v.Elision.AttachSharded(v.Sharded)
+		v.Elision.AttachSharded(gil.NewSharded(v.GIL, opt.Shards))
 	}
 	if policy.UsesOCCTier(pol) {
 		// The policy routes sections into the software-transaction tier:
@@ -328,24 +336,11 @@ func New(opt Options) *VM {
 		v.Elision.OCCRT = occ.NewRuntime(v.Mem)
 	}
 
-	if opt.Watchdog && opt.Trace == nil {
-		// The watchdog observes the event stream; give it one even when
-		// the caller did not ask for tracing.
-		opt.Trace = trace.NewRecorder()
-		v.Opt.Trace = opt.Trace
-	}
-
 	if opt.Trace != nil {
 		v.Mem.Tracer = opt.Trace
 		v.Mem.Clock = v.Engine.Now
 		v.Engine.Tracer = opt.Trace
-		v.GIL.Tracer = opt.Trace
 		v.Elision.Tracer = opt.Trace
-		if v.Sharded != nil {
-			for _, g := range v.Sharded.Shards {
-				g.Tracer = opt.Trace
-			}
-		}
 	}
 
 	if opt.Breaker {
@@ -363,13 +358,7 @@ func New(opt Options) *VM {
 
 	if opt.Chooser != nil {
 		v.Engine.Chooser = opt.Chooser
-		v.GIL.Chooser = opt.Chooser
 		v.Mem.Chooser = opt.Chooser
-		if v.Sharded != nil {
-			for _, g := range v.Sharded.Shards {
-				g.Chooser = opt.Chooser
-			}
-		}
 	}
 
 	v.stats.ConflictRegions = make(map[string]uint64)
@@ -448,7 +437,7 @@ func (v *VM) DefineNative(cls *object.RClass, name string, arity int, blocking b
 	cls.Methods[sym] = &object.Method{
 		Name:   sym,
 		Arity:  arity,
-		Native: &NativeMethod{Fn: fn, Blocking: blocking, Cycles: DefaultCosts().NativeBase},
+		Native: &NativeMethod{Fn: fn, Blocking: blocking, Cycles: v.Costs.NativeBase},
 	}
 }
 
@@ -469,7 +458,7 @@ func (v *VM) DefineStatic(cls *object.RClass, name string, arity int, blocking b
 	statics(cls)[sym] = &object.Method{
 		Name:   sym,
 		Arity:  arity,
-		Native: &NativeMethod{Fn: fn, Blocking: blocking, Cycles: DefaultCosts().NativeBase},
+		Native: &NativeMethod{Fn: fn, Blocking: blocking, Cycles: v.Costs.NativeBase},
 	}
 }
 
@@ -571,7 +560,9 @@ type RunResult struct {
 }
 
 // Run executes a compiled top-level iseq as the main Ruby thread and drives
-// the machine until every thread finishes.
+// the machine until every thread finishes. A machine runs once: on success
+// its root lock is retired, so that callers keeping &v.GIL.Stats keep the
+// counters and not the machine.
 func (v *VM) Run(iseq *compile.ISeq) (*RunResult, error) {
 	main := v.newRThread(iseq.Name)
 	if main == nil {
@@ -604,7 +595,9 @@ func (v *VM) Run(iseq *compile.ISeq) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.finishRun(), nil
+	res := v.finishRun()
+	v.GIL.Retire()
+	return res, nil
 }
 
 // finishRun aggregates statistics. The result carries a copy of them:
@@ -645,9 +638,9 @@ func (v *VM) finishRun() *RunResult {
 		if rt := v.Elision.OCCRT; rt != nil {
 			s.OCC = rt.Stats.Clone()
 		}
-		if v.Sharded != nil {
+		if sh := v.Elision.Sharded; len(sh.Shards) > 0 {
 			s.RootGIL = v.GIL.Stats
-			for _, g := range v.Sharded.Shards {
+			for _, g := range sh.Shards {
 				s.ShardGIL = append(s.ShardGIL, g.Stats)
 			}
 			s.ShardFallbacks = append([]uint64(nil), v.Elision.ShardFallbacks...)

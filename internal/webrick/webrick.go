@@ -205,9 +205,9 @@ type Result struct {
 	AbortRatio float64
 	Stats      *vm.Stats
 	// Open is the finished open-loop generator (counters, latency samples)
-	// when the run was driven open-loop; nil for closed-loop runs. Its
-	// network plumbing (Net, Eng, OnDone) is cleared: a kept Result must
-	// not keep the simulated machine alive.
+	// when the run was driven open-loop; nil for closed-loop runs. It has
+	// cleared its network plumbing (Net, Eng, OnDone) on finishing: a kept
+	// Result must not keep the simulated machine alive.
 	Open *netsim.OpenLoadGen
 	// Res is the server-side resilience state (shed/expired counters,
 	// brownout transitions) when Config.Resilience was set.
@@ -307,7 +307,6 @@ func Run(cfg Config) (*Result, error) {
 	var closed *netsim.LoadGen
 	if open != nil {
 		open.Net, open.Eng, open.Port, open.OnDone = net, machine.Engine, 80, machine.Engine.Stop
-		defer func() { open.Net, open.Eng, open.OnDone = nil, nil, nil }()
 		open.Start()
 	} else {
 		closed = &netsim.LoadGen{
